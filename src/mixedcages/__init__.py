@@ -67,6 +67,7 @@ from .search import (
     graph_payload,
     graph_from_payload,
     CageNumber,
+    CheckpointError,
     InconclusiveError,
     SearchOutcome,
     SearchSpec,

@@ -41,6 +41,7 @@ from .matrixio import (
     write_adjacency_matrix,
 )
 from .search import (
+    CheckpointError,
     InconclusiveError,
     SearchSpec,
     determine_cage_number,
@@ -414,7 +415,7 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
             print(f"resuming from {args.checkpoint}", file=stderr)
         except FileNotFoundError:
             checkpoint = None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or non-ASCII bytes
             print(f"error: corrupt checkpoint {args.checkpoint}: {exc}",
                   file=stderr)
             return EXIT_IO
@@ -423,6 +424,10 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
             outcome = search_order_parallel(spec, args.threads)
         else:
             outcome = search_order(spec, checkpoint=checkpoint)
+    except CheckpointError as exc:
+        print(f"error: corrupt checkpoint {args.checkpoint}: {exc}",
+              file=stderr)
+        return EXIT_IO
     except ValueError as exc:
         # e.g. a checkpoint recorded for different search parameters
         raise _UsageError(str(exc))

@@ -17,9 +17,10 @@ automorphism group (cycle rotations and swaps of equal-length cycles),
 so the output has one representative per isomorphism class.  Decide
 mode instead completes the most constrained vertex first, which
 surfaces contradictions far earlier.  Pruning is exact distance
-filtering (bounded-reachability matrix powers) for cycles through new
-edges, degree-demand feasibility against the partners still reachable
-at girth-compatible distance, and a parity cut.
+filtering for cycles through new edges, read from a capped directed
+distance matrix that each new edge updates incrementally and backtracking
+restores from an undo stack; degree-demand feasibility against the
+partners still reachable at girth-compatible distance; and a parity cut.
 
 Searches are resumable: the depth-first position is the list of
 combination indices per level, and combination lists are recomputed
@@ -45,6 +46,11 @@ CHECKPOINT_FORMAT = "mixedcages-checkpoint"
 CHECKPOINT_VERSION = 1
 
 _INF = float("inf")
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be resumed: malformed, or its recorded
+    path does not replay in the search tree."""
 
 
 class InconclusiveError(ValueError):
@@ -353,7 +359,11 @@ class _CanonicityTracker:
                 new_ties.append(gi)
             else:
                 verdict, d = _full_compare(gamma, edges)
-                assert verdict > 0 and d is not None
+                if verdict <= 0 or d is None:
+                    raise RuntimeError(
+                        "canonicity tracker: a tie whose mapped batch "
+                        "sorts above the batch must compare greater"
+                    )
                 new_strict.append((gi, d))
         for gi, d in strict:
             gamma = self.autos[gi]
@@ -366,8 +376,12 @@ class _CanonicityTracker:
                 return None
             if verdict == 0:
                 new_ties.append(gi)
+            elif d2 is None:
+                raise RuntimeError(
+                    "canonicity tracker: a strict comparison lacks its "
+                    "deciding value"
+                )
             else:
-                assert d2 is not None
                 new_strict.append((gi, d2))
         return new_ties, new_strict
 
@@ -399,17 +413,37 @@ class _Frame:
         self.strict = strict
 
 
+def _skeleton_distances(parts: tuple[int, ...], cap: int) -> _np.ndarray:
+    """Capped directed distances of a bare skeleton: along each cycle,
+    ``cap`` between different cycles."""
+    n = sum(parts)
+    dist = _np.full((n, n), cap, dtype=_np.int32)
+    for start, length in zip(_block_starts(parts), parts):
+        steps = _np.arange(length)
+        block = (steps[None, :] - steps[:, None]) % length
+        dist[start:start + length, start:start + length] = _np.minimum(
+            block, cap
+        )
+    return dist
+
+
 class _SkeletonSearch:
-    """Suspendable edge-completion search over one arc skeleton."""
+    """Suspendable edge-completion search over one arc skeleton.
+
+    ``dist[a, b]`` is the length of a shortest mixed path from a to b
+    (arcs forward, edges either way), capped at g-1: the girth filters
+    only ask whether a distance is at most g-2 or g-3.  Adding an edge
+    updates it in O(n^2); the replaced matrices form the undo stack.
+    """
 
     def __init__(self, spec: SearchSpec, skeleton: ArcSkeleton) -> None:
         self.spec = spec
         self.skeleton = skeleton
         n = spec.n
         self.n = n
-        self.arc_mat = _np.zeros((n, n), dtype=bool)
-        for u, v in skeleton.arcs:
-            self.arc_mat[u, v] = True
+        self.cap = spec.g - 1
+        self.dist = _skeleton_distances(skeleton.parts, self.cap)
+        self._undo: list[_np.ndarray] = []
         self.edge_mat = _np.zeros((n, n), dtype=bool)
         self.deg = _np.zeros(n, dtype=_np.int32)
         self.edges: list[Pair] = []  # under "lex" policy: stays sorted
@@ -425,31 +459,13 @@ class _SkeletonSearch:
         self.stack: list[_Frame] = []
         self._near_cache: _np.ndarray | None = None
 
-    # -- bounded-distance reachability (boolean matrix powers)
-
-    def _trans(self) -> _np.ndarray:
-        return self.arc_mat | self.edge_mat
-
     def _near_all(self) -> _np.ndarray:
-        """near[u, w]: a mixed path of length 1..g-2 joins u to w in
+        """near[u, w]: a mixed path of length <= g-2 joins u to w in
         either direction, i.e. an edge {u,w} would close a cycle < g."""
-        if self._near_cache is not None:
-            return self._near_cache
-        cap = self.spec.g - 2
-        n = self.n
-        if cap < 1:
-            near = _np.zeros((n, n), dtype=bool)
-        else:
-            f = self._trans()
-            fu = f.astype(_np.uint16)
-            reach = f.copy()
-            power = fu
-            for _ in range(cap - 1):
-                power = (power @ fu).astype(bool).astype(_np.uint16)
-                reach |= power.astype(bool)
-            near = reach | reach.T
-        self._near_cache = near
-        return near
+        if self._near_cache is None:
+            near = self.dist < self.cap
+            self._near_cache = near | near.T
+        return self._near_cache
 
     # -- state mutation
 
@@ -459,6 +475,12 @@ class _SkeletonSearch:
         self.deg[u] += 1
         self.deg[v] += 1
         self.edges.append((u, v) if u < v else (v, u))
+        # a shortest path uses the new edge at most once, either way
+        d = self.dist
+        via = _np.minimum(d[:, u, None] + d[v], d[:, v, None] + d[u])
+        via += 1
+        self._undo.append(d)
+        self.dist = _np.minimum(d, via, out=via)
         self._near_cache = None
 
     def _remove_last(self, count: int) -> None:
@@ -468,36 +490,28 @@ class _SkeletonSearch:
             self.edge_mat[v, u] = False
             self.deg[u] -= 1
             self.deg[v] -= 1
+            self.dist = self._undo.pop()
         if count:
             self._near_cache = None
 
     # -- search proper
 
-    def _branch_vertex(self) -> int | None:
-        """Vertex to complete next, per the configured branch policy.
-
-        "lex": least-index deficient vertex (partners then all sit above
-        it, keeping the edge list sorted).  "focus": the deficient
-        vertex with the least candidate slack, so contradictions
-        surface early.
-        """
-        deficient = _np.nonzero(self.deg < self.spec.r)[0]
-        if len(deficient) == 0:
-            return None
-        if self.policy == "lex":
-            return int(deficient[0])
-        near = self._near_all()
-        need = self.spec.r - self.deg[deficient]
-        pool = (
-            (self.deg < self.spec.r)[None, :]
-            & ~near[deficient]
-            & ~self.edge_mat[deficient]
+    def _slack(self) -> tuple[_np.ndarray, _np.ndarray]:
+        """Deficient vertices, and for each the number of deficient
+        partners it could still take at girth-compatible distance minus
+        its remaining demand."""
+        r = self.spec.r
+        deficient = self.deg < r
+        rows = _np.nonzero(deficient)[0]
+        avail = (
+            deficient[None, :]
+            & ~self._near_all()[rows]
+            & ~self.edge_mat[rows]
         )
-        pool[_np.arange(len(deficient)), deficient] = False
-        slack = pool.sum(axis=1) - need
-        return int(deficient[int(slack.argmin())])
+        avail[_np.arange(len(rows)), rows] = False
+        return rows, avail.sum(axis=1) - (r - self.deg[rows])
 
-    def _candidates(self, v: int) -> list[int]:
+    def _candidates(self, v: int) -> _np.ndarray:
         """Partners that can take an edge to v without closing a cycle
         shorter than g (single-edge criterion, exact).  Under "lex" the
         completion order restricts partners to u > v."""
@@ -507,7 +521,7 @@ class _SkeletonSearch:
             ok[: v + 1] = False
         else:
             ok[v] = False
-        return [int(u) for u in _np.nonzero(ok)[0]]
+        return _np.nonzero(ok)[0]
 
     def _combos_for(self, v: int) -> tuple[list[tuple[int, ...]], int]:
         """Sorted partner combinations for completing vertex v, plus the
@@ -520,83 +534,60 @@ class _SkeletonSearch:
         edges meeting at v plus an old path avoiding v (the pairwise
         criterion, cap g-3).  Three new edges cannot lie on one cycle
         since the cycle would visit v twice, and old paths cannot use
-        new edges without passing through v.
+        new edges without passing through v.  The pairwise criterion
+        reads the distances of the current graph, v included: a path of
+        length <= g-3 between two candidates that ran through v would
+        put one of them within g-4 of v, and then it would not be a
+        candidate.
         """
         need = self.spec.r - int(self.deg[v])
-        cands = self._candidates(v)
-        if len(cands) < need:
+        idx = self._candidates(v)
+        if len(idx) < need:
             return [], 0
-        cap = self.spec.g - 3
-        if cap >= 1 and len(cands) > 1:
-            # bounded reach among candidates with v deleted
-            f = self._trans().copy()
-            f[v, :] = False
-            f[:, v] = False
-            fu = f.astype(_np.uint16)
-            reach = f.copy()
-            power = fu
-            for _ in range(cap - 1):
-                power = (power @ fu).astype(bool).astype(_np.uint16)
-                reach |= power.astype(bool)
-            bad = reach | reach.T
-
-            def pair_ok(a: int, b: int) -> bool:
-                return not bad[a, b]
-
-        else:
-
-            def pair_ok(a: int, b: int) -> bool:
-                return True
+        close = self.dist[idx[:, None], idx] < self.cap - 1
+        bad = (close | close.T).tolist()
+        cands = idx.tolist()
 
         out: list[tuple[int, ...]] = []
         chosen: list[int] = []
 
         def rec(start: int) -> None:
             if len(chosen) == need:
-                out.append(tuple(chosen))
+                out.append(tuple(cands[i] for i in chosen))
                 return
             remaining = need - len(chosen)
             for i in range(start, len(cands) - remaining + 1):
-                u = cands[i]
-                if all(pair_ok(w, u) for w in chosen):
-                    chosen.append(u)
+                row = bad[i]
+                if not any(row[j] for j in chosen):
+                    chosen.append(i)
                     rec(i + 1)
                     chosen.pop()
 
         rec(0)
         return out, _comb(len(cands), need) - len(out)
 
-    def _feasible(self) -> bool:
-        """Every deficient vertex still sees enough girth-compatible
-        deficient partners to meet its remaining demand."""
-        deficient = self.deg < self.spec.r
-        if not deficient.any():
-            return True
-        near = self._near_all()
-        rows = _np.nonzero(deficient)[0]
-        avail = (
-            deficient[None, :]
-            & ~near[rows]
-            & ~self.edge_mat[rows]
-        )
-        avail[_np.arange(len(rows)), rows] = False
-        counts = avail.sum(axis=1)
-        need = self.spec.r - self.deg[rows]
-        return bool((counts >= need).all())
-
-    def _push_frame(
+    def _expand(
         self, applied: int, ties: list[int], strict: list[tuple[int, Pair]]
-    ) -> tuple[bool, int]:
-        """Create the frame for the current state.
+    ) -> tuple[str, int]:
+        """Test the current state and push its frame.
 
-        Returns (pushed, girth-pruned combo count); pushed is False when
-        the state is already complete."""
-        v = self._branch_vertex()
-        if v is None:
-            return False, 0
+        Returns ("pushed" | "infeasible" | "complete", girth-pruned
+        combination count).  "infeasible": some deficient vertex sees
+        fewer girth-compatible deficient partners than it still needs.
+        One slack count serves that test and the "focus" choice of the
+        vertex to complete next, the one with the least slack; "lex"
+        completes the least-index deficient vertex, whose partners then
+        all sit above it, keeping the edge list sorted.
+        """
+        rows, slack = self._slack()
+        if len(rows) == 0:
+            return "complete", 0
+        if slack.min() < 0:
+            return "infeasible", 0
+        v = int(rows[0] if self.policy == "lex" else rows[slack.argmin()])
         combos, pruned = self._combos_for(v)
         self.stack.append(_Frame(v, combos, applied, ties, strict))
-        return True, pruned
+        return "pushed", pruned
 
     def run(self, quota: float, deadline: float | None, stats: SearchStats,
             emit) -> tuple[str, int]:
@@ -610,13 +601,13 @@ class _SkeletonSearch:
         if not self.started:
             self.started = True
             ties, strict = self.tracker.root() if self.tracker else ([], [])
-            if not self._feasible():
+            state, pruned = self._expand(0, ties, strict)
+            stats.girth_prunes += pruned
+            if state == "infeasible":
                 stats.infeasible_prunes += 1
                 self.exhausted = True
                 return "exhausted", used
-            pushed, pruned = self._push_frame(0, ties, strict)
-            stats.girth_prunes += pruned
-            if not pushed:
+            if state == "complete":
                 done = emit(self._graph())
                 self.exhausted = True
                 return ("found" if done else "exhausted"), used
@@ -651,13 +642,12 @@ class _SkeletonSearch:
                     self._remove_last(len(combo))
                     continue
                 ties, strict = res
-            if not self._feasible():
+            state, pruned = self._expand(len(combo), ties, strict)
+            stats.girth_prunes += pruned
+            if state == "infeasible":
                 stats.infeasible_prunes += 1
                 self._remove_last(len(combo))
-                continue
-            pushed, pruned = self._push_frame(len(combo), ties, strict)
-            stats.girth_prunes += pruned
-            if not pushed:
+            elif state == "complete":
                 done = emit(self._graph())
                 self._remove_last(len(combo))
                 if done:
@@ -679,19 +669,45 @@ class _SkeletonSearch:
         }
 
     def restore(self, state: dict) -> None:
-        assert tuple(state["parts"]) == self.skeleton.parts
-        self.exhausted = state["exhausted"]
-        self.started = state["started"]
-        if self.exhausted or not self.started:
+        """Replay a to_state() record.  Raises CheckpointError when the
+        record is malformed or its path leaves the search tree."""
+        try:
+            parts = tuple(state["parts"])
+            exhausted, started = state["exhausted"], state["started"]
+            path = state["path"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"malformed skeleton state: {exc!r}") from None
+        if parts != self.skeleton.parts:
+            raise CheckpointError(
+                f"skeleton state for parts {list(parts)}, "
+                f"expected {list(self.skeleton.parts)}"
+            )
+        if type(exhausted) is not bool or type(started) is not bool:
+            raise CheckpointError("exhausted and started must be booleans")
+        self.exhausted = exhausted
+        self.started = started
+        if exhausted or not started:
             return
-        path = state["path"]
+        if (not isinstance(path, list) or not path
+                or any(type(i) is not int for i in path)):
+            raise CheckpointError(
+                f"path of skeleton {list(parts)} must be a non-empty "
+                "list of integers"
+            )
         ties, strict = self.tracker.root() if self.tracker else ([], [])
-        pushed, _ = self._push_frame(0, ties, strict)
-        assert pushed, "checkpoint replay diverged"
+        self._replay_step(0, ties, strict)
         for depth, next_idx in enumerate(path):
             frame = self.stack[-1]
+            last = depth == len(path) - 1
+            # an inner frame has applied combination next_idx - 1
+            lowest = 0 if last else 1
+            if not lowest <= next_idx <= len(frame.combos):
+                raise CheckpointError(
+                    f"path index {next_idx} at depth {depth} of skeleton "
+                    f"{list(parts)} is outside {lowest}..{len(frame.combos)}"
+                )
             frame.next_idx = next_idx
-            if depth == len(path) - 1:
+            if last:
                 break
             combo = frame.combos[next_idx - 1]
             v = frame.vertex
@@ -705,14 +721,54 @@ class _SkeletonSearch:
                     frame.ties,
                     frame.strict,
                 )
-                assert res is not None, "checkpoint replay diverged"
+                if res is None:
+                    raise CheckpointError(
+                        f"checkpoint replay diverged at depth {depth} of "
+                        f"skeleton {list(parts)}: combination not canonical"
+                    )
                 ties, strict = res
-            pushed, _ = self._push_frame(len(combo), ties, strict)
-            assert pushed, "checkpoint replay diverged"
+            self._replay_step(len(combo), ties, strict)
+
+    def _replay_step(
+        self, applied: int, ties: list[int], strict: list[tuple[int, Pair]]
+    ) -> None:
+        state, _ = self._expand(applied, ties, strict)
+        if state != "pushed":
+            raise CheckpointError(
+                f"checkpoint replay diverged in skeleton "
+                f"{list(self.skeleton.parts)}: {state} after "
+                f"{len(self.edges)} edges"
+            )
 
 
 # ---------------------------------------------------------------------------
 # engine
+
+
+def _make_emit(spec: SearchSpec, witnesses: list[MixedGraph],
+               seen_forms: set[bytes]):
+    """Emission callback for a completed edge set.
+
+    Keeps only verified witnesses: regular (r, 1) with girth exactly g.
+    In decide mode the first one ends the search (returns True); in
+    enumerate mode each new isomorphism class is recorded.
+    """
+
+    def emit(g: MixedGraph) -> bool:
+        if degree_profile(g).regular != (spec.r, spec.z):
+            return False
+        if girth(g).girth != spec.g:
+            return False
+        if spec.mode == "decide":
+            witnesses.append(g)
+            return True
+        enc = canonical_form(g).encoding
+        if enc not in seen_forms:
+            seen_forms.add(enc)
+            witnesses.append(g)
+        return False
+
+    return emit
 
 
 def search_order(spec: SearchSpec, checkpoint: dict | None = None) -> SearchOutcome:
@@ -737,28 +793,17 @@ def search_order(spec: SearchSpec, checkpoint: dict | None = None) -> SearchOutc
     visit_quota_left: float | None = None
     if checkpoint is not None:
         _validate_checkpoint(spec, checkpoint, len(searches))
-        stats = SearchStats.from_dict(checkpoint["stats"])
+        try:
+            stats = SearchStats.from_dict(checkpoint["stats"])
+            witnesses = [graph_from_payload(p) for p in checkpoint["witnesses"]]
+            seen_forms = {bytes.fromhex(h) for h in checkpoint["seen_forms"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint: {exc!r}") from None
         for search, st in zip(searches, checkpoint["skeletons"]):
             search.restore(st)
-        for payload in checkpoint["witnesses"]:
-            witnesses.append(graph_from_payload(payload))
-        seen_forms = {bytes.fromhex(h) for h in checkpoint["seen_forms"]}
         cursor = checkpoint["cursor"]
         visit_quota_left = checkpoint["visit_quota_left"]
-
-    def emit(g: MixedGraph) -> bool:
-        if degree_profile(g).regular != (spec.r, spec.z):
-            return False
-        if girth(g).girth != spec.g:
-            return False
-        if spec.mode == "decide":
-            witnesses.append(g)
-            return True
-        enc = canonical_form(g).encoding
-        if enc not in seen_forms:
-            seen_forms.add(enc)
-            witnesses.append(g)
-        return False
+    emit = _make_emit(spec, witnesses, seen_forms)
 
     deadline = None
     if spec.time_budget is not None:
@@ -824,16 +869,31 @@ def search_order(spec: SearchSpec, checkpoint: dict | None = None) -> SearchOutc
 
 
 def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
-    if cp.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError("not a search checkpoint")
+    """A checkpoint recorded for other parameters raises ValueError; one
+    that is malformed raises CheckpointError."""
+    if not isinstance(cp, dict) or cp.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError("not a search checkpoint")
     if cp.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {cp.get('version')}")
+        raise CheckpointError(
+            f"unsupported checkpoint version {cp.get('version')}"
+        )
     if cp.get("spec") != spec.key():
         raise ValueError(
             f"checkpoint spec {cp.get('spec')} does not match {spec.key()}"
         )
-    if len(cp.get("skeletons", [])) != n_skeletons:
-        raise ValueError("checkpoint skeleton list does not match")
+    missing = [k for k in ("cursor", "visit_quota_left", "stats",
+                           "skeletons", "witnesses", "seen_forms")
+               if k not in cp]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks {missing}")
+    if (not isinstance(cp["skeletons"], list)
+            or len(cp["skeletons"]) != n_skeletons):
+        raise CheckpointError("checkpoint skeleton list does not match")
+    if type(cp["cursor"]) is not int or not 0 <= cp["cursor"] < n_skeletons:
+        raise CheckpointError(f"checkpoint cursor {cp['cursor']!r} out of range")
+    quota = cp["visit_quota_left"]
+    if quota is not None and (type(quota) is not int or quota < 0):
+        raise CheckpointError(f"checkpoint visit quota {quota!r} is invalid")
 
 
 def _run_single_skeleton(payload: tuple) -> dict:
@@ -844,22 +904,7 @@ def _run_single_skeleton(payload: tuple) -> dict:
     search = _SkeletonSearch(spec, skeleton)
     stats = SearchStats()
     witnesses: list[MixedGraph] = []
-    seen: set[bytes] = set()
-
-    def emit(g: MixedGraph) -> bool:
-        if degree_profile(g).regular != (spec.r, spec.z):
-            return False
-        if girth(g).girth != spec.g:
-            return False
-        if spec.mode == "decide":
-            witnesses.append(g)
-            return True
-        enc = canonical_form(g).encoding
-        if enc not in seen:
-            seen.add(enc)
-            witnesses.append(g)
-        return False
-
+    emit = _make_emit(spec, witnesses, set())
     status, _ = search.run(_INF, None, stats, emit)
     return {
         "status": status,

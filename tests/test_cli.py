@@ -244,3 +244,75 @@ def test_checkpoint_flag_mismatch_is_usage_error(tmp_path):
     )
     assert code == 2
     assert "does not match" in err
+
+
+def _corrupted_checkpoint(tmp_path, corrupt):
+    cp = tmp_path / "cp.json"
+    code, _, _ = cli(
+        ["search", "--r", "3", "--g", "4", "--n", "12", "--enumerate",
+         "--budget-nodes", "400", "--checkpoint", str(cp)]
+    )
+    assert code == 4
+    state = json.loads(cp.read_text())
+    active = next(s for s in state["skeletons"]
+                  if s["started"] and not s["exhausted"])
+    corrupt(state, active)
+    cp.write_text(json.dumps(state))
+    return cp
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda state, active: active["path"].__setitem__(0, 10_000),
+        lambda state, active: state["skeletons"][0].__setitem__(
+            "parts", [6, 6]),
+    ],
+    ids=["path-index", "parts"],
+)
+def test_corrupt_checkpoint_is_io_error(tmp_path, corrupt):
+    cp = _corrupted_checkpoint(tmp_path, corrupt)
+    code, out, err = cli(
+        ["search", "--r", "3", "--g", "4", "--n", "12", "--enumerate",
+         "--checkpoint", str(cp)]
+    )
+    assert code == 3
+    assert "corrupt checkpoint" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"{not json", b"[]"], ids=["bytes", "json", "list"]
+)
+def test_unreadable_checkpoint_is_io_error(tmp_path, content):
+    cp = tmp_path / "cp.json"
+    cp.write_bytes(content)
+    code, _, err = cli(
+        ["search", "--r", "3", "--g", "4", "--n", "12", "--enumerate",
+         "--checkpoint", str(cp)]
+    )
+    assert code == 3
+    assert "corrupt checkpoint" in err
+
+
+def test_corrupt_checkpoint_rejected_under_optimize(tmp_path):
+    # the checks must not be bare asserts, which python -O strips
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cp = _corrupted_checkpoint(
+        tmp_path,
+        lambda state, active: state["skeletons"][0].__setitem__(
+            "parts", [6, 6]),
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mixedcages", "search", "--r", "3",
+         "--g", "4", "--n", "12", "--enumerate", "--checkpoint", str(cp)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "corrupt checkpoint" in proc.stderr

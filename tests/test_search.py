@@ -1,10 +1,14 @@
 import itertools
 import json
 import random
+from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedcages import (
+    CheckpointError,
     InconclusiveError,
     SearchSpec,
     arc_skeletons,
@@ -19,6 +23,7 @@ from mixedcages import (
 )
 from mixedcages.search import (
     _CanonicityTracker,
+    _SkeletonSearch,
     _is_lex_min_full,
     _skeleton_autos,
     search_order_parallel,
@@ -287,14 +292,183 @@ def test_time_budget_checkpoints():
         assert resumed.status == "found"
 
 
+def test_decide_checkpoint_resume_matches_uninterrupted():
+    spec = SearchSpec(r=3, g=5, n=20, mode="decide", branch_policy="focus")
+    cut = search_order(
+        SearchSpec(r=3, g=5, n=20, mode="decide", branch_policy="focus",
+                   node_budget=3000)
+    )
+    assert cut.status == "budget_exceeded"
+    resumed = search_order(
+        spec, checkpoint=json.loads(json.dumps(cut.checkpoint))
+    )
+    assert resumed.status == "exhausted" and not resumed.witnesses
+    assert resumed.stats.as_dict() == {
+        "nodes": 9688, "girth_prunes": 8919,
+        "canonicity_prunes": 0, "infeasible_prunes": 1759,
+    }
+
+
+# -- corrupt checkpoints
+
+
+def _cut_checkpoint():
+    spec = SearchSpec(r=3, g=4, n=12, mode="enumerate")
+    cut = search_order(
+        SearchSpec(r=3, g=4, n=12, mode="enumerate", node_budget=500)
+    )
+    assert cut.status == "budget_exceeded"
+    return spec, json.loads(json.dumps(cut.checkpoint))
+
+
+def _active_skeleton(cp):
+    return next(
+        sk for sk in cp["skeletons"] if sk["started"] and not sk["exhausted"]
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda cp: cp.pop("stats"),
+        lambda cp: cp.__setitem__("cursor", 99),
+        lambda cp: cp.__setitem__("visit_quota_left", "740"),
+        lambda cp: cp["skeletons"].pop(),
+        lambda cp: cp["skeletons"][0].pop("path"),
+        lambda cp: _active_skeleton(cp).__setitem__("path", "3,1"),
+        lambda cp: _active_skeleton(cp).__setitem__("path", []),
+        lambda cp: cp["stats"].pop("nodes"),
+        lambda cp: cp.__setitem__("format", "something-else"),
+        lambda cp: cp["skeletons"][0].__setitem__("parts", [6, 6]),
+        lambda cp: _active_skeleton(cp)["path"].__setitem__(0, 10_000),
+        # an inner frame must have applied a combination; index 0 would
+        # replay combination -1
+        lambda cp: _active_skeleton(cp)["path"].__setitem__(0, 0),
+    ],
+)
+def test_malformed_checkpoint_rejected(corrupt):
+    spec, cp = _cut_checkpoint()
+    corrupt(cp)
+    with pytest.raises(CheckpointError):
+        search_order(spec, checkpoint=cp)
+
+
+def test_checkpoint_replay_either_resumes_or_rejects():
+    """Every inner index in range either names a combination that was
+    expanded, or its replay is refused; no other exception escapes."""
+    _, cp = _cut_checkpoint()
+    outcomes = set()
+    for value in range(1, 40):
+        trial = json.loads(json.dumps(cp))
+        _active_skeleton(trial)["path"][:] = [value, 0]
+        try:
+            search_order(
+                SearchSpec(r=3, g=4, n=12, mode="enumerate", node_budget=0),
+                checkpoint=trial,
+            )
+            outcomes.add("resumed")
+        except CheckpointError:
+            outcomes.add("rejected")
+    assert outcomes == {"resumed", "rejected"}
+
+
+# -- incremental capped distances against bounded matrix powers
+
+
+def _reference_reach(trans, cap):
+    """Walks of length 1..cap in trans (boolean matrix powers)."""
+    reach = trans.copy()
+    fu = trans.astype(np.uint16)
+    power = fu
+    for _ in range(cap - 1):
+        power = (power @ fu).astype(bool).astype(np.uint16)
+        reach |= power.astype(bool)
+    return reach
+
+
+def _reference_near(search, arc_mat):
+    cap = search.spec.g - 2
+    if cap < 1:
+        return np.zeros((search.n, search.n), dtype=bool)
+    reach = _reference_reach(arc_mat | search.edge_mat, cap)
+    return reach | reach.T
+
+
+def _reference_combos(search, arc_mat, v):
+    """Combination generation with the pair filter recomputed on a copy
+    of the graph with v deleted."""
+    need = search.spec.r - int(search.deg[v])
+    near_v = _reference_near(search, arc_mat)[v]
+    ok = (search.deg < search.spec.r) & ~near_v & ~search.edge_mat[v]
+    if search.policy == "lex":
+        ok[: v + 1] = False
+    else:
+        ok[v] = False
+    cands = [int(u) for u in np.nonzero(ok)[0]]
+    if len(cands) < need:
+        return [], 0
+    bad = np.zeros((search.n, search.n), dtype=bool)
+    cap = search.spec.g - 3
+    if cap >= 1:
+        trans = arc_mat | search.edge_mat
+        trans[v, :] = False
+        trans[:, v] = False
+        reach = _reference_reach(trans, cap)
+        bad = reach | reach.T
+    out = [
+        c for c in itertools.combinations(cands, need)
+        if not any(bad[a, b] for a, b in itertools.combinations(c, 2))
+    ]
+    return out, comb(len(cands), need) - len(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incremental_distances_match_matrix_powers(data):
+    g = data.draw(st.integers(3, 7), label="g")
+    n = data.draw(st.integers(g, g + 7), label="n")
+    skeletons = list(arc_skeletons(n, g))
+    skeleton = skeletons[data.draw(st.integers(0, len(skeletons) - 1))]
+    spec = SearchSpec(
+        r=data.draw(st.integers(1, 4), label="r"), g=g, n=n,
+        branch_policy=data.draw(st.sampled_from(["lex", "focus"])),
+    )
+    search = _SkeletonSearch(spec, skeleton)
+    arc_mat = np.zeros((n, n), dtype=bool)
+    for a, b in skeleton.arcs:
+        arc_mat[a, b] = True
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        if search.edges and data.draw(st.booleans(), label="undo"):
+            search._remove_last(
+                data.draw(st.integers(1, len(search.edges)), label="count")
+            )
+        else:
+            free = [
+                (a, b) for a in range(n) for b in range(a + 1, n)
+                if not search.edge_mat[a, b]
+            ]
+            if not free:
+                continue
+            search._add_edge(*data.draw(st.sampled_from(free), label="edge"))
+        # the diagonal is never read: a vertex is not its own partner
+        off = ~np.eye(n, dtype=bool)
+        assert (
+            search._near_all()[off] == _reference_near(search, arc_mat)[off]
+        ).all()
+        for v in np.nonzero(search.deg < spec.r)[0]:
+            assert search._combos_for(int(v)) == _reference_combos(
+                search, arc_mat, int(v)
+            )
+
+
 @pytest.mark.skipif(
     not __import__("os").environ.get("MIXEDCAGES_RUN_UNIQUENESS"),
-    reason="several minutes of CPU; set MIXEDCAGES_RUN_UNIQUENESS=1 to run",
+    reason="over a minute of CPU; set MIXEDCAGES_RUN_UNIQUENESS=1 to run",
 )
 def test_uniqueness_of_order_30_graph():
     """Full isomorph-free enumeration at order 30: exactly one class.
 
-    Roughly four minutes single-core; RESULTS.md records the budget.
+    About 80 s single-core; RESULTS.md records the run.
     """
     from mixedcages import build_g30, is_isomorphic
 
@@ -303,5 +477,6 @@ def test_uniqueness_of_order_30_graph():
     )
     assert out.status == "found"
     assert len(out.witnesses) == 1
+    assert out.stats.nodes == 857_912
     verdict, _ = is_isomorphic(out.witnesses[0], build_g30())
     assert verdict
