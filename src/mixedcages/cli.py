@@ -325,7 +325,8 @@ def _cmd_girth(args, stdin, stdout, stderr) -> int:
         print("girth: infinite (acyclic)", file=stdout)
     else:
         print(f"girth: {gr.girth}", file=stdout)
-        assert gr.witness is not None
+        if gr.witness is None:
+            raise RuntimeError(f"girth {gr.girth} reported without a witness")
         print(f"witness: {_witness_text(gr.witness)}", file=stdout)
     return EXIT_OK
 

@@ -9,15 +9,17 @@ adjacency encoding over all discrete leaves.  Whenever two leaves
 produce the same encoding, composing their labelings yields a graph
 automorphism; discovered automorphisms prune equivalent branches at the
 top branching level and, collected together, generate the full
-automorphism group.  Group order is computed from a stabilizer chain
-over the collected elements, which doubles as a cross-check against
-plain closure enumeration.
+automorphism group.  The group order comes from an incremental
+Schreier-Sims stabilizer chain fed with the collected elements: each
+one that is not yet in the group becomes a reported generator, and only
+the levels its residue touches are re-completed.  Plain closure
+enumeration serves small groups and tests as an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .graphs import MixedGraph, Permutation, apply_permutation, degree_profile
 
@@ -106,7 +108,10 @@ def automorphism_group(g: MixedGraph) -> AutGroup:
     for img in sorted(elements):
         if chain.extend(img):
             p = Permutation(img)
-            assert apply_permutation(g, p) == g
+            if apply_permutation(g, p) != g:
+                raise RuntimeError(
+                    f"reported generator {img} is not an automorphism"
+                )
             gens.append(p)
     return AutGroup(n=g.n, generators=tuple(gens), order=chain.order())
 
@@ -132,9 +137,10 @@ def group_fingerprint(group: AutGroup, cap: int = 1000) -> GroupFingerprint:
     if abelian:
         # generators commuting with every element puts them in the
         # center, and they generate, so the whole group is abelian
-        assert all(
+        if not all(
             _compose(a, e) == _compose(e, a) for a in gens for e in elements
-        )
+        ):
+            raise RuntimeError("commuting generators gave a non-abelian group")
     max_order = max(
         (Permutation(e).order() for e in elements), default=1
     )
@@ -284,12 +290,18 @@ def _ir_search(
             descend(_individualize(colors, v), prefix + (v,))
 
     descend([0] * n, ())
-    assert best[0] is not None and best_perm[0] is not None
+    if best[0] is None or best_perm[0] is None:
+        raise RuntimeError("canonical labeling search reached no leaf")
     return best[0], best_perm[0], autos
 
 
 def _symmetric_special_case(g: MixedGraph) -> AutGroup | None:
-    """Full symmetric group shortcuts for the all-or-nothing graphs."""
+    """Full symmetric group shortcuts for the all-or-nothing graphs.
+
+    The general path gets these right too (n! for every n tested), but
+    slowly: search plus chain take about 2 s at n = 20 and 20 s at
+    n = 30 on a 2-vCPU host, where this shortcut is instant.
+    """
     n = g.n
     full_edges = n * (n - 1) // 2
     if g.arcs:
@@ -314,22 +326,22 @@ def _symmetric_special_case(g: MixedGraph) -> AutGroup | None:
 # ---------------------------------------------------------------------------
 # permutation group machinery
 
+_Perm = tuple[int, ...]
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+
+def _compose(p: _Perm, q: _Perm) -> _Perm:
     """(p . q)(x) = p(q(x))."""
     return tuple(p[x] for x in q)
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+def _invert(p: _Perm) -> _Perm:
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
 
 
-def _closure(
-    gens: list[tuple[int, ...]], n: int, cap: int
-) -> list[tuple[int, ...]]:
+def _closure(gens: list[_Perm], n: int, cap: int) -> list[_Perm]:
     """All elements generated by gens, in sorted order."""
     identity = tuple(range(n))
     elements = {identity}
@@ -351,99 +363,76 @@ def _closure(
 
 
 class _StabChain:
-    """Deterministic Schreier-Sims stabilizer chain for small groups.
+    """Incremental deterministic Schreier-Sims chain (Seress, Permutation
+    Group Algorithms, 2003, ch. 4).
 
-    ``extend(p)`` sifts p and, when a residue survives, installs it and
-    re-stabilizes the whole chain to a fixpoint: at every level the
-    orbit of the base point is closed under all generators fixing the
-    base prefix (which includes generators installed at deeper levels),
-    and every Schreier generator sifts to the identity.  At the
-    fixpoint, Schreier's lemma makes the order the product of the orbit
-    sizes.  Quadratic re-closure is fine at the group sizes this
-    package meets.
+    Level i holds base point ``base[i]``, the strong generators that fix
+    ``base[:i]`` and move ``base[i]``, and the transversal of the orbit
+    of ``base[i]`` under the generators of level i and deeper, which
+    generate the stabilizer of ``base[:i]``.  The chain is complete after
+    every ``extend``, so a sift decides membership and the order is the
+    product of the orbit sizes.  A residue that survives a sift becomes
+    a strong generator at the level where the sift stopped (a new base
+    point if it fixes them all), and only that level and the ones above
+    it are re-completed, deepest first.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.identity = tuple(range(n))
         self.base: list[int] = []
-        self.level_gens: list[list[tuple[int, ...]]] = []
-        self.transversal: list[dict[int, tuple[int, ...]]] = []
+        self.level_gens: list[list[_Perm]] = []
+        self.transversal: list[dict[int, _Perm]] = []
 
     def order(self) -> int:
-        total = 1
-        for t in self.transversal:
-            total *= len(t)
-        return total
+        return prod(len(t) for t in self.transversal)
 
-    def sift(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        return self._sift_from(p, 0)
-
-    def extend(self, p: tuple[int, ...]) -> bool:
+    def extend(self, p: _Perm) -> bool:
         """Add p to the group; returns True if the group grew."""
-        residue = self.sift(p)
+        residue, lvl = self._sift(p, 0)
         if residue == self.identity:
             return False
-        self._raw_install(residue)
-        self._stabilize()
+        self._install(residue, lvl, 0)
         return True
 
-    def _sift_from(self, p: tuple[int, ...], start: int) -> tuple[int, ...]:
+    def _sift(self, p: _Perm, start: int) -> tuple[_Perm, int]:
+        """Residue of p and the level where sifting stopped."""
         for lvl in range(start, len(self.base)):
-            x = p[self.base[lvl]]
-            t = self.transversal[lvl].get(x)
+            t = self.transversal[lvl].get(p[self.base[lvl]])
             if t is None:
-                return p
+                return p, lvl
             p = _compose(_invert(t), p)
-        return p
+        return p, len(self.base)
 
-    def _raw_install(self, p: tuple[int, ...]) -> None:
-        # place p at the first level whose base point it moves
-        for lvl in range(len(self.base)):
-            if p[self.base[lvl]] != self.base[lvl]:
-                self.level_gens[lvl].append(p)
-                return
-        b = min(i for i in range(self.n) if p[i] != i)
-        self.base.append(b)
-        self.level_gens.append([p])
-        self.transversal.append({b: self.identity})
+    def _install(self, s: _Perm, lvl: int, top: int) -> None:
+        """Add strong generator s at lvl, then re-complete lvl..top."""
+        if lvl == len(self.base):
+            self.base.append(min(i for i in range(self.n) if s[i] != i))
+            self.level_gens.append([])
+            self.transversal.append({})
+        self.level_gens[lvl].append(s)
+        for i in range(lvl, top - 1, -1):
+            # deeper levels are complete; each residue installed below i
+            # re-completes them and adds a generator to level i
+            while (found := self._schreier_residue(i)) is not None:
+                self._install(*found, i + 1)
 
-    def _gens_at(self, lvl: int) -> list[tuple[int, ...]]:
-        # generators of the stabilizer of base[0..lvl-1]: everything
-        # installed at this level or deeper fixes that prefix
-        return [s for gens in self.level_gens[lvl:] for s in gens]
-
-    def _stabilize(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for lvl in range(len(self.base)):
-                gens = self._gens_at(lvl)
-                trans = self._orbit(self.base[lvl], gens)
-                if len(trans) != len(self.transversal[lvl]):
-                    changed = True
-                self.transversal[lvl] = trans
-                for x in sorted(trans):
-                    tx = trans[x]
-                    for s in gens:
-                        sg = _compose(
-                            _invert(trans[s[x]]), _compose(s, tx)
-                        )
-                        residue = self._sift_from(sg, lvl + 1)
-                        if residue != self.identity:
-                            self._raw_install(residue)
-                            changed = True
-
-    def _orbit(
-        self, b: int, gens: list[tuple[int, ...]]
-    ) -> dict[int, tuple[int, ...]]:
-        trans = {b: self.identity}
-        queue = [b]
-        while queue:
-            x = queue.pop(0)
+    def _schreier_residue(self, i: int) -> tuple[_Perm, int] | None:
+        """Re-close the orbit at level i; the first Schreier generator
+        residue that is not the identity, with its level, or None."""
+        gens = [s for level in self.level_gens[i:] for s in level]
+        trans = {self.base[i]: self.identity}
+        queue = [self.base[i]]
+        for x in queue:
             for s in gens:
-                y = s[x]
-                if y not in trans:
-                    trans[y] = _compose(s, trans[x])
-                    queue.append(y)
-        return trans
+                if s[x] not in trans:
+                    trans[s[x]] = _compose(s, trans[x])
+                    queue.append(s[x])
+        self.transversal[i] = trans
+        for x, tx in trans.items():
+            for s in gens:
+                schreier = _compose(_invert(trans[s[x]]), _compose(s, tx))
+                residue, lvl = self._sift(schreier, i + 1)
+                if residue != self.identity:
+                    return residue, lvl
+        return None

@@ -913,6 +913,15 @@ def _run_single_skeleton(payload: tuple) -> dict:
     }
 
 
+def _merge_worker_stats(stats: SearchStats, res: dict | None, i: int) -> None:
+    """Add one finished skeleton's statistics; a missing result is an error,
+    never a skeleton counted as exhausted."""
+    if res is None:
+        raise RuntimeError(f"skeleton {i} has no worker result")
+    for key, val in res["stats"].items():
+        setattr(stats, key, getattr(stats, key) + val)
+
+
 def search_order_parallel(spec: SearchSpec, threads: int) -> SearchOutcome:
     """search_order with skeletons exhausted across worker processes.
 
@@ -965,18 +974,14 @@ def search_order_parallel(spec: SearchSpec, threads: int) -> SearchOutcome:
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     if spec.mode == "decide" and decided is not None:
-        for res in results[: decided + 1]:
-            assert res is not None
-            for key, val in res["stats"].items():
-                setattr(stats, key, getattr(stats, key) + val)
+        for i, res in enumerate(results[: decided + 1]):
+            _merge_worker_stats(stats, res, i)
         witness = graph_from_payload(results[decided]["witnesses"][0])
         return SearchOutcome("found", [witness], stats)
     witnesses: list[MixedGraph] = []
     seen: set[bytes] = set()
-    for res in results:
-        assert res is not None
-        for key, val in res["stats"].items():
-            setattr(stats, key, getattr(stats, key) + val)
+    for i, res in enumerate(results):
+        _merge_worker_stats(stats, res, i)
         for payload in res["witnesses"]:
             w = graph_from_payload(payload)
             enc = canonical_form(w).encoding

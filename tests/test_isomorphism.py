@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedcages import (
     Permutation,
@@ -178,3 +180,116 @@ def test_fingerprint_cap():
     group = automorphism_group(new_graph(7))  # S7, order 5040
     with pytest.raises(TooLargeError):
         group_fingerprint(group, cap=1000)
+
+
+def test_aut_petersen_labeling_robust():
+    # the search hands the chain its automorphisms in a labeling-dependent
+    # order; every labeling must give the same verified group
+    base = petersen()
+    rng = random.Random(2024)
+    for _ in range(20):
+        p = list(range(10))
+        rng.shuffle(p)
+        g = apply_permutation(base, Permutation(tuple(p)))
+        group = automorphism_group(g)
+        assert group.order == 120
+        for gen in group.generators:
+            assert apply_permutation(g, gen) == g
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_shortcut_matches_general_path(monkeypatch, n):
+    import mixedcages.isomorphism as iso
+
+    monkeypatch.setattr(iso, "_symmetric_special_case", lambda g: None)
+    empty = new_graph(n)
+    complete = new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    for g in (empty, complete):
+        assert automorphism_group(g).order == math.factorial(n)
+
+
+def _labelled_digraph(g):
+    """networkx DiGraph with each edge as two opposite arcs labelled "e"
+    and each arc as one arc labelled "a"; an arc and an edge on the
+    same ordered pair share one arc labelled "ae"."""
+    nx = pytest.importorskip("networkx")
+    d = nx.DiGraph()
+    d.add_nodes_from(range(g.n))
+    labels = {}
+    for u, v in g.edges:
+        labels[(u, v)] = labels[(v, u)] = "e"
+    for u, v in g.arcs:
+        labels[(u, v)] = "a" + labels.get((u, v), "")
+    for (u, v), label in labels.items():
+        d.add_edge(u, v, label=label)
+    return d
+
+
+def _same_label(a, b):
+    return a["label"] == b["label"]
+
+
+def test_aut_order_matches_networkx_oracle():
+    pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    rng = random.Random(303)
+    for _ in range(60):
+        g = random_mixed_graph(rng, n_min=1, n_max=8)
+        d = _labelled_digraph(g)
+        count = sum(
+            1 for _ in DiGraphMatcher(d, d, edge_match=_same_label).isomorphisms_iter()
+        )
+        assert automorphism_group(g).order == count
+
+
+def test_is_isomorphic_matches_networkx_oracle():
+    pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    rng = random.Random(304)
+    agree = {True: 0, False: 0}
+    for _ in range(120):
+        g = random_mixed_graph(rng, n_min=1, n_max=8)
+        if rng.random() < 0.5:
+            p = list(range(g.n))
+            rng.shuffle(p)
+            h = apply_permutation(g, Permutation(tuple(p)))
+        else:
+            h = random_mixed_graph(rng, n_min=g.n, n_max=g.n)
+        matcher = DiGraphMatcher(
+            _labelled_digraph(g), _labelled_digraph(h), edge_match=_same_label
+        )
+        verdict, _ = is_isomorphic(g, h)
+        assert verdict == matcher.is_isomorphic()
+        agree[verdict] += 1
+    assert agree[True] and agree[False]
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(1, 8))
+    perms = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=5))
+    # products of earlier elements exercise extend on group members
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(perms) - 1))
+        j = draw(st.integers(0, len(perms) - 1))
+        perms.append(tuple(perms[i][x] for x in perms[j]))
+    return n, perms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets())
+def test_stab_chain_matches_closure(case):
+    from mixedcages.isomorphism import _closure, _StabChain
+
+    n, perms = case
+    chain = _StabChain(n)
+    accepted = []
+    group = {tuple(range(n))}
+    for p in perms:
+        assert chain.extend(p) == (p not in group)
+        if p not in group:
+            accepted.append(p)
+            group = set(_closure(accepted, n, cap=math.factorial(n)))
+        assert chain.order() == len(group)
