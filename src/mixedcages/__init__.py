@@ -28,7 +28,6 @@ from .girth import (
     validate_witness,
 )
 from .graphs import (
-    CageParams,
     DegreeProfile,
     DuplicateError,
     GraphError,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -439,8 +440,7 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
         "stats": outcome.stats.as_dict(),
     }
     if outcome.status == "budget_exceeded" and args.checkpoint:
-        with open(args.checkpoint, "w", encoding="ascii") as fh:
-            json.dump(outcome.checkpoint, fh)
+        _write_checkpoint(args.checkpoint, outcome.checkpoint)
         print(f"checkpoint written to {args.checkpoint}", file=stderr)
     if args.json:
         _emit_json(stdout, payload)
@@ -457,6 +457,23 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
     if outcome.status == "found":
         return EXIT_OK
     return EXIT_FAIL
+
+
+def _write_checkpoint(path: str, checkpoint: dict) -> None:
+    """Write a checkpoint to a temporary file beside ``path``, then move
+    it into place: a write that fails or is interrupted leaves the
+    previous checkpoint intact and no temporary file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            json.dump(checkpoint, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _cmd_search_auto(args, stdout) -> int:

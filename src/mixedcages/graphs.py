@@ -184,28 +184,6 @@ def degree_profile(g: MixedGraph) -> DegreeProfile:
 
 
 @dataclass(frozen=True)
-class CageParams:
-    """Target parameters (r, z, g) for bounds and searches.
-
-    r is the edge-degree, z the out-degree (= in-degree), g the girth.
-    The closed-form lower bound and the exhaustive search both require
-    z = 1; the type itself admits any nonnegative z.
-    """
-
-    r: int
-    z: int
-    g: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise GraphError(f"edge-degree must be >= 1, got {self.r}")
-        if self.z < 0:
-            raise GraphError(f"out-degree must be >= 0, got {self.z}")
-        if self.g < 1:
-            raise GraphError(f"girth must be >= 1, got {self.g}")
-
-
-@dataclass(frozen=True)
 class Permutation:
     """A bijection on 0..n-1, stored as its image array.
 

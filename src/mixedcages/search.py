@@ -18,9 +18,11 @@ so the output has one representative per isomorphism class.  Decide
 mode instead completes the most constrained vertex first, which
 surfaces contradictions far earlier.  Pruning is exact distance
 filtering for cycles through new edges, read from a capped directed
-distance matrix that each new edge updates incrementally and backtracking
-restores from an undo stack; degree-demand feasibility against the
-partners still reachable at girth-compatible distance; and a parity cut.
+distance matrix that each completed vertex updates once for its whole
+batch of new edges and backtracking restores from an undo stack;
+degree-demand feasibility against the partners still joinable at
+girth-compatible distance, read from a matrix of free pairs kept by the
+same update; and a parity cut.
 
 Searches are resumable: the depth-first position is the list of
 combination indices per level, and combination lists are recomputed
@@ -39,7 +41,7 @@ import numpy as _np
 
 from .bounds import ahm_bound
 from .girth import girth
-from .graphs import CageParams, MixedGraph, Pair, degree_profile, new_graph
+from .graphs import MixedGraph, Pair, degree_profile, new_graph
 from .isomorphism import canonical_form
 
 CHECKPOINT_FORMAT = "mixedcages-checkpoint"
@@ -117,10 +119,6 @@ class SearchSpec:
         if self.branch_policy != "auto":
             return self.branch_policy
         return "lex" if self.mode == "enumerate" else "focus"
-
-    @property
-    def params(self) -> CageParams:
-        return CageParams(r=self.r, z=self.z, g=self.g)
 
     def key(self) -> dict:
         """Fields a checkpoint must match to be resumable: anything that
@@ -402,13 +400,13 @@ def _is_lex_min_full(
 
 
 class _Frame:
-    __slots__ = ("vertex", "combos", "next_idx", "applied", "ties", "strict")
+    __slots__ = ("vertex", "combos", "next_idx", "batched", "ties", "strict")
 
-    def __init__(self, vertex, combos, applied, ties, strict):
+    def __init__(self, vertex, combos, batched, ties, strict):
         self.vertex = vertex
         self.combos = combos
         self.next_idx = 0
-        self.applied = applied  # batch size applied to enter this frame
+        self.batched = batched  # a batch was applied to enter this frame
         self.ties = ties
         self.strict = strict
 
@@ -432,8 +430,20 @@ class _SkeletonSearch:
 
     ``dist[a, b]`` is the length of a shortest mixed path from a to b
     (arcs forward, edges either way), capped at g-1: the girth filters
-    only ask whether a distance is at most g-2 or g-3.  Adding an edge
-    updates it in O(n^2); the replaced matrices form the undo stack.
+    only ask whether a distance is at most g-2 or g-3.  ``free[x, y]``
+    says an edge {x, y} could still be added: x != y, x and y are not
+    adjacent, and no path of length <= g-2 joins them either way.
+
+    Every edge of a batch meets the vertex v it completes.  A shortest
+    path passes v at most once, so it uses at most two new edges, and
+    those two meet at v.  The new distances into and out of v are
+    therefore ``to_v[a] = min(dist[a, v], min_u dist[a, u] + 1)`` and
+    ``from_v[b] = min(dist[v, b], min_u dist[u, b] + 1)`` over the
+    partners u, and every other distance is
+    ``min(dist[a, b], to_v[a] + from_v[b])``: one outer sum per batch.
+    Capped inputs give exact sums below the cap.  The same sum clears
+    the pairs of ``free`` it brings near.  One undo entry per batch keeps
+    the replaced matrices.
     """
 
     def __init__(self, spec: SearchSpec, skeleton: ArcSkeleton) -> None:
@@ -443,8 +453,10 @@ class _SkeletonSearch:
         self.n = n
         self.cap = spec.g - 1
         self.dist = _skeleton_distances(skeleton.parts, self.cap)
-        self._undo: list[_np.ndarray] = []
-        self.edge_mat = _np.zeros((n, n), dtype=bool)
+        near = self.dist < self.cap
+        self.free = ~(near | near.T)
+        _np.fill_diagonal(self.free, False)
+        self._undo: list[tuple] = []
         self.deg = _np.zeros(n, dtype=_np.int32)
         self.edges: list[Pair] = []  # under "lex" policy: stays sorted
         self.exhausted = False
@@ -457,42 +469,40 @@ class _SkeletonSearch:
         ):
             self.tracker = _CanonicityTracker(_skeleton_autos(skeleton.parts))
         self.stack: list[_Frame] = []
-        self._near_cache: _np.ndarray | None = None
-
-    def _near_all(self) -> _np.ndarray:
-        """near[u, w]: a mixed path of length <= g-2 joins u to w in
-        either direction, i.e. an edge {u,w} would close a cycle < g."""
-        if self._near_cache is None:
-            near = self.dist < self.cap
-            self._near_cache = near | near.T
-        return self._near_cache
 
     # -- state mutation
 
-    def _add_edge(self, u: int, v: int) -> None:
-        self.edge_mat[u, v] = True
-        self.edge_mat[v, u] = True
-        self.deg[u] += 1
-        self.deg[v] += 1
-        self.edges.append((u, v) if u < v else (v, u))
-        # a shortest path uses the new edge at most once, either way
+    def _add_batch(self, v: int, partners: tuple[int, ...]) -> None:
+        """Add the edges {v, u} for every partner u."""
         d = self.dist
-        via = _np.minimum(d[:, u, None] + d[v], d[:, v, None] + d[u])
-        via += 1
-        self._undo.append(d)
+        # per-partner slices: fancy indexing costs more at this size
+        to_u, from_u = d[:, partners[0]], d[partners[0]]
+        for u in partners[1:]:
+            to_u = _np.minimum(to_u, d[:, u])
+            from_u = _np.minimum(from_u, d[u])
+        to_v = _np.minimum(d[:, v], to_u + 1)
+        from_v = _np.minimum(d[v], from_u + 1)
+        via = to_v[:, None] + from_v
+        far = via >= self.cap
+        self._undo.append((d, self.free, v, partners))
         self.dist = _np.minimum(d, via, out=via)
-        self._near_cache = None
+        free = self.free & far
+        free &= far.T
+        deg = self.deg
+        for u in partners:
+            free[v, u] = free[u, v] = False
+            deg[u] += 1
+        deg[v] += len(partners)
+        self.free = free
+        self.edges.extend((v, u) if v < u else (u, v) for u in partners)
 
-    def _remove_last(self, count: int) -> None:
-        for _ in range(count):
-            u, v = self.edges.pop()
-            self.edge_mat[u, v] = False
-            self.edge_mat[v, u] = False
-            self.deg[u] -= 1
-            self.deg[v] -= 1
-            self.dist = self._undo.pop()
-        if count:
-            self._near_cache = None
+    def _pop_batch(self) -> None:
+        self.dist, self.free, v, partners = self._undo.pop()
+        del self.edges[-len(partners):]
+        deg = self.deg
+        for u in partners:
+            deg[u] -= 1
+        deg[v] -= len(partners)
 
     # -- search proper
 
@@ -502,26 +512,18 @@ class _SkeletonSearch:
         its remaining demand."""
         r = self.spec.r
         deficient = self.deg < r
-        rows = _np.nonzero(deficient)[0]
-        avail = (
-            deficient[None, :]
-            & ~self._near_all()[rows]
-            & ~self.edge_mat[rows]
-        )
-        avail[_np.arange(len(rows)), rows] = False
-        return rows, avail.sum(axis=1) - (r - self.deg[rows])
+        rows = deficient.nonzero()[0]
+        avail = (self.free[rows] & deficient).sum(axis=1)
+        return rows, avail - (r - self.deg[rows])
 
     def _candidates(self, v: int) -> _np.ndarray:
         """Partners that can take an edge to v without closing a cycle
         shorter than g (single-edge criterion, exact).  Under "lex" the
         completion order restricts partners to u > v."""
-        near_v = self._near_all()[v]
-        ok = (self.deg < self.spec.r) & ~near_v & ~self.edge_mat[v]
+        ok = self.free[v] & (self.deg < self.spec.r)
         if self.policy == "lex":
             ok[: v + 1] = False
-        else:
-            ok[v] = False
-        return _np.nonzero(ok)[0]
+        return ok.nonzero()[0]
 
     def _combos_for(self, v: int) -> tuple[list[tuple[int, ...]], int]:
         """Sorted partner combinations for completing vertex v, plus the
@@ -567,7 +569,7 @@ class _SkeletonSearch:
         return out, _comb(len(cands), need) - len(out)
 
     def _expand(
-        self, applied: int, ties: list[int], strict: list[tuple[int, Pair]]
+        self, batched: bool, ties: list[int], strict: list[tuple[int, Pair]]
     ) -> tuple[str, int]:
         """Test the current state and push its frame.
 
@@ -586,7 +588,7 @@ class _SkeletonSearch:
             return "infeasible", 0
         v = int(rows[0] if self.policy == "lex" else rows[slack.argmin()])
         combos, pruned = self._combos_for(v)
-        self.stack.append(_Frame(v, combos, applied, ties, strict))
+        self.stack.append(_Frame(v, combos, batched, ties, strict))
         return "pushed", pruned
 
     def run(self, quota: float, deadline: float | None, stats: SearchStats,
@@ -601,7 +603,7 @@ class _SkeletonSearch:
         if not self.started:
             self.started = True
             ties, strict = self.tracker.root() if self.tracker else ([], [])
-            state, pruned = self._expand(0, ties, strict)
+            state, pruned = self._expand(False, ties, strict)
             stats.girth_prunes += pruned
             if state == "infeasible":
                 stats.infeasible_prunes += 1
@@ -619,15 +621,15 @@ class _SkeletonSearch:
             frame = self.stack[-1]
             if frame.next_idx >= len(frame.combos):
                 self.stack.pop()
-                self._remove_last(frame.applied)
+                if frame.batched:
+                    self._pop_batch()
                 continue
             combo = frame.combos[frame.next_idx]
             frame.next_idx += 1
             used += 1
             stats.nodes += 1
             v = frame.vertex
-            for u in combo:
-                self._add_edge(v, u)
+            self._add_batch(v, combo)
             ties: list[int] = []
             strict: list[tuple[int, Pair]] = []
             if self.tracker is not None:
@@ -639,17 +641,17 @@ class _SkeletonSearch:
                 )
                 if res is None:
                     stats.canonicity_prunes += 1
-                    self._remove_last(len(combo))
+                    self._pop_batch()
                     continue
                 ties, strict = res
-            state, pruned = self._expand(len(combo), ties, strict)
+            state, pruned = self._expand(True, ties, strict)
             stats.girth_prunes += pruned
             if state == "infeasible":
                 stats.infeasible_prunes += 1
-                self._remove_last(len(combo))
+                self._pop_batch()
             elif state == "complete":
                 done = emit(self._graph())
-                self._remove_last(len(combo))
+                self._pop_batch()
                 if done:
                     return "found", used
         self.exhausted = True
@@ -695,7 +697,7 @@ class _SkeletonSearch:
                 "list of integers"
             )
         ties, strict = self.tracker.root() if self.tracker else ([], [])
-        self._replay_step(0, ties, strict)
+        self._replay_step(False, ties, strict)
         for depth, next_idx in enumerate(path):
             frame = self.stack[-1]
             last = depth == len(path) - 1
@@ -711,8 +713,7 @@ class _SkeletonSearch:
                 break
             combo = frame.combos[next_idx - 1]
             v = frame.vertex
-            for u in combo:
-                self._add_edge(v, u)
+            self._add_batch(v, combo)
             ties, strict = frame.ties, frame.strict
             if self.tracker is not None:
                 res = self.tracker.child(
@@ -727,12 +728,12 @@ class _SkeletonSearch:
                         f"skeleton {list(parts)}: combination not canonical"
                     )
                 ties, strict = res
-            self._replay_step(len(combo), ties, strict)
+            self._replay_step(True, ties, strict)
 
     def _replay_step(
-        self, applied: int, ties: list[int], strict: list[tuple[int, Pair]]
+        self, batched: bool, ties: list[int], strict: list[tuple[int, Pair]]
     ) -> None:
-        state, _ = self._expand(applied, ties, strict)
+        state, _ = self._expand(batched, ties, strict)
         if state != "pushed":
             raise CheckpointError(
                 f"checkpoint replay diverged in skeleton "

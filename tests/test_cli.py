@@ -183,6 +183,31 @@ def test_search_budget_checkpoint_resume(tmp_path):
     assert "resuming" in err
 
 
+@pytest.mark.parametrize("failure", [OSError, KeyboardInterrupt])
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch, failure):
+    cp = tmp_path / "run.checkpoint.json"
+    search = ["search", "--r", "3", "--g", "4", "--n", "12", "--enumerate",
+              "--checkpoint", str(cp)]
+    code, _, _ = cli(search + ["--budget-nodes", "400"])
+    assert code == 4
+    before = cp.read_bytes()
+
+    def dump_then_fail(obj, fh):
+        fh.write(json.dumps(obj)[:100])
+        raise failure("write interrupted")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    if failure is OSError:
+        code, _, err = cli(search + ["--budget-nodes", "800"])
+        assert code == 3
+        assert "write interrupted" in err
+    else:
+        with pytest.raises(failure):
+            cli(search + ["--budget-nodes", "800"])
+    assert cp.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [cp]
+
+
 def test_search_auto():
     code, out, _ = cli(["search", "--r", "3", "--g", "3", "--auto", "--json"])
     assert code == 0

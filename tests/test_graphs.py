@@ -129,15 +129,3 @@ def test_permutation_inverse_and_order():
     assert p.cycle_notation() == "(0 1 2)(3 4)"
     assert Permutation.identity(3).cycle_notation() == "()"
 
-
-def test_cage_params_validation():
-    from mixedcages import CageParams
-
-    p = CageParams(r=3, z=1, g=6)
-    assert (p.r, p.z, p.g) == (3, 1, 6)
-    with pytest.raises(ValueError):
-        CageParams(r=0, z=1, g=6)
-    with pytest.raises(ValueError):
-        CageParams(r=3, z=-1, g=6)
-    with pytest.raises(ValueError):
-        CageParams(r=3, z=1, g=0)

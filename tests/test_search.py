@@ -372,7 +372,7 @@ def test_checkpoint_replay_either_resumes_or_rejects():
     assert outcomes == {"resumed", "rejected"}
 
 
-# -- incremental capped distances against bounded matrix powers
+# -- batched capped distances against bounded matrix powers
 
 
 def _reference_reach(trans, cap):
@@ -386,34 +386,40 @@ def _reference_reach(trans, cap):
     return reach
 
 
-def _reference_near(search, arc_mat):
-    cap = search.spec.g - 2
-    if cap < 1:
-        return np.zeros((search.n, search.n), dtype=bool)
-    reach = _reference_reach(arc_mat | search.edge_mat, cap)
-    return reach | reach.T
+def _reference_dist(trans, cap):
+    """Least walk length below cap for every ordered pair, else cap."""
+    n = len(trans)
+    dist = np.full((n, n), cap, dtype=np.int32)
+    power = np.eye(n, dtype=np.uint16)
+    for k in range(cap):
+        dist[(power > 0) & (dist == cap)] = k
+        power = (power @ trans.astype(np.uint16)).astype(bool).astype(np.uint16)
+    return dist
 
 
-def _reference_combos(search, arc_mat, v):
+def _reference_free(search, trans, adj):
+    """Pairs an edge could still join: distinct, not adjacent, and no
+    walk of length <= g-2 between them either way."""
+    n = search.n
+    near = np.zeros((n, n), dtype=bool)
+    if search.spec.g - 2 >= 1:
+        near = _reference_reach(trans, search.spec.g - 2)
+    return ~(near | near.T | adj | np.eye(n, dtype=bool))
+
+
+def _reference_combos(search, trans, v, cands):
     """Combination generation with the pair filter recomputed on a copy
     of the graph with v deleted."""
     need = search.spec.r - int(search.deg[v])
-    near_v = _reference_near(search, arc_mat)[v]
-    ok = (search.deg < search.spec.r) & ~near_v & ~search.edge_mat[v]
-    if search.policy == "lex":
-        ok[: v + 1] = False
-    else:
-        ok[v] = False
-    cands = [int(u) for u in np.nonzero(ok)[0]]
     if len(cands) < need:
         return [], 0
     bad = np.zeros((search.n, search.n), dtype=bool)
     cap = search.spec.g - 3
     if cap >= 1:
-        trans = arc_mat | search.edge_mat
-        trans[v, :] = False
-        trans[:, v] = False
-        reach = _reference_reach(trans, cap)
+        cut = trans.copy()
+        cut[v, :] = False
+        cut[:, v] = False
+        reach = _reference_reach(cut, cap)
         bad = reach | reach.T
     out = [
         c for c in itertools.combinations(cands, need)
@@ -425,40 +431,105 @@ def _reference_combos(search, arc_mat, v):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_incremental_distances_match_matrix_powers(data):
-    g = data.draw(st.integers(3, 7), label="g")
+    """Batches of edges at one vertex, with partners drawn from every
+    non-adjacent vertex (so they may be near each other or near v), and
+    undos of whole batches; after every step the distances, the free
+    pairs, the slack, the candidates and the combinations equal a
+    from-scratch recount."""
+    g = data.draw(st.integers(2, 7), label="g")
     n = data.draw(st.integers(g, g + 7), label="n")
     skeletons = list(arc_skeletons(n, g))
     skeleton = skeletons[data.draw(st.integers(0, len(skeletons) - 1))]
+    r = data.draw(st.integers(1, 4), label="r")
     spec = SearchSpec(
-        r=data.draw(st.integers(1, 4), label="r"), g=g, n=n,
+        r=r, g=g, n=n,
         branch_policy=data.draw(st.sampled_from(["lex", "focus"])),
     )
     search = _SkeletonSearch(spec, skeleton)
     arc_mat = np.zeros((n, n), dtype=bool)
     for a, b in skeleton.arcs:
         arc_mat[a, b] = True
-    for _ in range(data.draw(st.integers(1, 12), label="steps")):
-        if search.edges and data.draw(st.booleans(), label="undo"):
-            search._remove_last(
-                data.draw(st.integers(1, len(search.edges)), label="count")
-            )
+    batches = []
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        if batches and data.draw(st.booleans(), label="undo"):
+            search._pop_batch()
+            batches.pop()
         else:
-            free = [
-                (a, b) for a in range(n) for b in range(a + 1, n)
-                if not search.edge_mat[a, b]
-            ]
-            if not free:
+            adj = np.zeros((n, n), dtype=bool)
+            for v, partners in batches:
+                adj[v, list(partners)] = adj[list(partners), v] = True
+            v = data.draw(st.integers(0, n - 1), label="v")
+            options = [u for u in range(n) if u != v and not adj[v, u]]
+            if not options:
                 continue
-            search._add_edge(*data.draw(st.sampled_from(free), label="edge"))
-        # the diagonal is never read: a vertex is not its own partner
-        off = ~np.eye(n, dtype=bool)
-        assert (
-            search._near_all()[off] == _reference_near(search, arc_mat)[off]
-        ).all()
-        for v in np.nonzero(search.deg < spec.r)[0]:
-            assert search._combos_for(int(v)) == _reference_combos(
-                search, arc_mat, int(v)
+            partners = tuple(sorted(data.draw(
+                st.lists(st.sampled_from(options), min_size=1,
+                         max_size=min(r, len(options)), unique=True),
+                label="partners",
+            )))
+            search._add_batch(v, partners)
+            batches.append((v, partners))
+        adj = np.zeros((n, n), dtype=bool)
+        deg = np.zeros(n, dtype=int)
+        for v, partners in batches:
+            for u in partners:
+                adj[v, u] = adj[u, v] = True
+                deg[u] += 1
+            deg[v] += len(partners)
+        assert sorted(search.edges) == sorted(zip(*np.nonzero(np.triu(adj))))
+        assert search.deg.tolist() == deg.tolist()
+        trans = arc_mat | adj
+        assert (search.dist == _reference_dist(trans, g - 1)).all()
+        free = _reference_free(search, trans, adj)
+        assert (search.free == free).all()
+        rows = [x for x in range(n) if deg[x] < r]
+        slack = [
+            sum(1 for y in rows if free[x, y]) - (r - deg[x]) for x in rows
+        ]
+        got_rows, got_slack = search._slack()
+        assert got_rows.tolist() == rows and got_slack.tolist() == slack
+        for x in rows:
+            floor = x if spec.effective_policy() == "lex" else -1
+            cands = [y for y in rows if free[x, y] and y > floor]
+            assert search._candidates(x).tolist() == cands
+            assert search._combos_for(x) == _reference_combos(
+                search, trans, x, cands
             )
+
+
+def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
+    """Replaying a mid-run checkpoint rebuilds, skeleton by skeleton, the
+    distances, free pairs, degrees and frames that the interrupted run
+    held at the same node."""
+    import mixedcages.search as search_module
+
+    live = []
+
+    class Recording(_SkeletonSearch):
+        def __init__(self, spec, skeleton):
+            super().__init__(spec, skeleton)
+            live.append(self)
+
+    spec = SearchSpec(r=3, g=5, n=20, mode="decide", branch_policy="focus",
+                      node_budget=3000)
+    monkeypatch.setattr(search_module, "_SkeletonSearch", Recording)
+    cut = search_order(spec)
+    monkeypatch.undo()
+    assert cut.status == "budget_exceeded"
+    states = json.loads(json.dumps(cut.checkpoint))["skeletons"]
+    assert len(live) == len(states)
+    assert any(run.edges for run in live)
+    for run, state in zip(live, states):
+        fresh = _SkeletonSearch(spec, run.skeleton)
+        fresh.restore(state)
+        assert fresh.edges == run.edges
+        assert (fresh.dist == run.dist).all()
+        assert (fresh.free == run.free).all()
+        assert (fresh.deg == run.deg).all()
+        assert len(fresh._undo) == len(run._undo)
+        assert [(f.vertex, f.next_idx, f.combos) for f in fresh.stack] == [
+            (f.vertex, f.next_idx, f.combos) for f in run.stack
+        ]
 
 
 @pytest.mark.skipif(
@@ -468,7 +539,7 @@ def test_incremental_distances_match_matrix_powers(data):
 def test_uniqueness_of_order_30_graph():
     """Full isomorph-free enumeration at order 30: exactly one class.
 
-    About 80 s single-core; RESULTS.md records the run.
+    About 70 s single-core; RESULTS.md records the run.
     """
     from mixedcages import build_g30, is_isomorphic
 
