@@ -7,7 +7,7 @@ input/output in FILE positions.  Exit codes are a stable contract:
     0  success / PASS
     1  negative verdict (verification FAIL, non-isomorphic, no witness)
     2  usage error
-    3  I/O or parse error
+    3  I/O or parse error, or a worker process died
     4  budget exceeded / inconclusive
 
 Example pipeline::
@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import warnings
+from concurrent.futures import BrokenExecutor
 
 from . import __version__
 from .bounds import ahm_bound, moore_bound
@@ -48,7 +49,6 @@ from .search import (
     determine_cage_number,
     graph_payload,
     search_order,
-    search_order_parallel,
 )
 
 EXIT_OK = 0
@@ -92,6 +92,10 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         return EXIT_USAGE
     except (OSError, MatrixParseError) as exc:
         print(f"error: {exc}", file=stderr)
+        return EXIT_IO
+    except BrokenExecutor as exc:
+        # a dead worker decided nothing: never report it as "no witness"
+        print(f"error: worker process failed: {exc}", file=stderr)
         return EXIT_IO
 
 
@@ -164,7 +168,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--checkpoint", default=None,
                    help="resume from this file if present; write it on budget exhaustion")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes; results are identical to one"
+                        " process")
     p.add_argument(
         "--branch-policy", choices=["auto", "lex", "focus"], default="auto",
         help="vertex completion order: lex enables orderly isomorph"
@@ -392,12 +398,6 @@ def _cmd_export(args, stdin, stdout, stderr) -> int:
 def _cmd_search(args, stdin, stdout, stderr) -> int:
     if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
-    if args.threads > 1 and (
-        args.budget_nodes or args.budget_secs or args.checkpoint
-    ):
-        raise _UsageError(
-            "--threads > 1 does not support budgets or checkpoints"
-        )
     if args.auto:
         return _cmd_search_auto(args, stdout)
     mode = "enumerate" if args.enumerate_all else "decide"
@@ -422,10 +422,8 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
                   file=stderr)
             return EXIT_IO
     try:
-        if args.threads > 1:
-            outcome = search_order_parallel(spec, args.threads)
-        else:
-            outcome = search_order(spec, checkpoint=checkpoint)
+        outcome = search_order(spec, checkpoint=checkpoint,
+                               workers=args.threads)
     except CheckpointError as exc:
         print(f"error: corrupt checkpoint {args.checkpoint}: {exc}",
               file=stderr)
@@ -477,6 +475,13 @@ def _write_checkpoint(path: str, checkpoint: dict) -> None:
 
 
 def _cmd_search_auto(args, stdout) -> int:
+    ignored = [flag for flag, given in (
+        ("--checkpoint", args.checkpoint),
+        ("--enumerate", args.enumerate_all),
+        ("--branch-policy", args.branch_policy != "auto"),
+    ) if given]
+    if ignored:
+        raise _UsageError(f"--auto does not take {', '.join(ignored)}")
     n_max = args.n_max
     if n_max is None:
         n_max = ahm_bound(args.r, args.g) + 5
@@ -484,6 +489,7 @@ def _cmd_search_auto(args, stdout) -> int:
         result = determine_cage_number(
             args.r, args.g, n_max,
             node_budget=args.budget_nodes, time_budget=args.budget_secs,
+            workers=args.threads,
         )
     except InconclusiveError as exc:
         if args.json:

@@ -24,8 +24,12 @@ degree-demand feasibility against the partners still joinable at
 girth-compatible distance, read from a matrix of free pairs kept by the
 same update; and a parity cut.
 
-Searches are resumable: the depth-first position is the list of
-combination indices per level, and combination lists are recomputed
+One driver serves every run: it visits the pending skeletons in
+rounds, each visit a node quota on one skeleton, and merges the visits
+in skeleton order, whether they ran in process or in a pool of worker
+processes, so results never depend on the number of workers.  Searches
+are resumable: the depth-first position is the list of combination
+indices per level, and combination lists are recomputed
 deterministically on replay, so a budget-interrupted run serializes to
 a small checkpoint and the resumed run reproduces identical statistics.
 """
@@ -153,6 +157,12 @@ class SearchStats:
             infeasible_prunes=d["infeasible_prunes"],
         )
 
+    def add(self, other: SearchStats) -> None:
+        self.nodes += other.nodes
+        self.girth_prunes += other.girth_prunes
+        self.canonicity_prunes += other.canonicity_prunes
+        self.infeasible_prunes += other.infeasible_prunes
+
 
 @dataclass
 class SearchOutcome:
@@ -198,7 +208,7 @@ class ArcSkeleton:
 
 
 def graph_payload(g: MixedGraph) -> dict:
-    """Lossless JSON-ready form of a graph (checkpoints, workers)."""
+    """Lossless JSON-ready form of a graph (checkpoints, CLI reports)."""
     return {
         "n": g.n,
         "edges": [list(e) for e in g.sorted_edges()],
@@ -591,6 +601,31 @@ class _SkeletonSearch:
         self.stack.append(_Frame(v, combos, batched, ties, strict))
         return "pushed", pruned
 
+    def _start(self) -> tuple[str, int]:
+        """Expand the root, the bare skeleton (see _expand)."""
+        ties, strict = self.tracker.root() if self.tracker else ([], [])
+        return self._expand(False, ties, strict)
+
+    def _descend(
+        self, frame: _Frame, combo: tuple[int, ...]
+    ) -> tuple[str, int] | None:
+        """Complete the frame's vertex with ``combo`` and expand the
+        child (see _expand).  None, with the batch undone, when the
+        grown edge list is not least in its orbit under the skeleton
+        group."""
+        v = frame.vertex
+        self._add_batch(v, combo)
+        ties, strict = frame.ties, frame.strict
+        if self.tracker is not None:
+            res = self.tracker.child(
+                tuple(self.edges), tuple((v, u) for u in combo), ties, strict
+            )
+            if res is None:
+                self._pop_batch()
+                return None
+            ties, strict = res
+        return self._expand(True, ties, strict)
+
     def run(self, quota: float, deadline: float | None, stats: SearchStats,
             emit) -> tuple[str, int]:
         """Advance until the node quota or deadline is consumed, the
@@ -602,8 +637,7 @@ class _SkeletonSearch:
         used = 0
         if not self.started:
             self.started = True
-            ties, strict = self.tracker.root() if self.tracker else ([], [])
-            state, pruned = self._expand(False, ties, strict)
+            state, pruned = self._start()
             stats.girth_prunes += pruned
             if state == "infeasible":
                 stats.infeasible_prunes += 1
@@ -628,23 +662,11 @@ class _SkeletonSearch:
             frame.next_idx += 1
             used += 1
             stats.nodes += 1
-            v = frame.vertex
-            self._add_batch(v, combo)
-            ties: list[int] = []
-            strict: list[tuple[int, Pair]] = []
-            if self.tracker is not None:
-                res = self.tracker.child(
-                    tuple(self.edges),
-                    tuple((v, u) for u in combo),
-                    frame.ties,
-                    frame.strict,
-                )
-                if res is None:
-                    stats.canonicity_prunes += 1
-                    self._pop_batch()
-                    continue
-                ties, strict = res
-            state, pruned = self._expand(True, ties, strict)
+            res = self._descend(frame, combo)
+            if res is None:
+                stats.canonicity_prunes += 1
+                continue
+            state, pruned = res
             stats.girth_prunes += pruned
             if state == "infeasible":
                 stats.infeasible_prunes += 1
@@ -696,9 +718,14 @@ class _SkeletonSearch:
                 f"path of skeleton {list(parts)} must be a non-empty "
                 "list of integers"
             )
-        ties, strict = self.tracker.root() if self.tracker else ([], [])
-        self._replay_step(False, ties, strict)
+        expanded, _ = self._start()
         for depth, next_idx in enumerate(path):
+            if expanded != "pushed":
+                raise CheckpointError(
+                    f"checkpoint replay diverged at depth {depth} of "
+                    f"skeleton {list(parts)}: {expanded} after "
+                    f"{len(self.edges)} edges"
+                )
             frame = self.stack[-1]
             last = depth == len(path) - 1
             # an inner frame has applied combination next_idx - 1
@@ -711,49 +738,34 @@ class _SkeletonSearch:
             frame.next_idx = next_idx
             if last:
                 break
-            combo = frame.combos[next_idx - 1]
-            v = frame.vertex
-            self._add_batch(v, combo)
-            ties, strict = frame.ties, frame.strict
-            if self.tracker is not None:
-                res = self.tracker.child(
-                    tuple(self.edges),
-                    tuple((v, u) for u in combo),
-                    frame.ties,
-                    frame.strict,
+            res = self._descend(frame, frame.combos[next_idx - 1])
+            if res is None:
+                raise CheckpointError(
+                    f"checkpoint replay diverged at depth {depth} of "
+                    f"skeleton {list(parts)}: combination not canonical"
                 )
-                if res is None:
-                    raise CheckpointError(
-                        f"checkpoint replay diverged at depth {depth} of "
-                        f"skeleton {list(parts)}: combination not canonical"
-                    )
-                ties, strict = res
-            self._replay_step(True, ties, strict)
-
-    def _replay_step(
-        self, batched: bool, ties: list[int], strict: list[tuple[int, Pair]]
-    ) -> None:
-        state, _ = self._expand(batched, ties, strict)
-        if state != "pushed":
-            raise CheckpointError(
-                f"checkpoint replay diverged in skeleton "
-                f"{list(self.skeleton.parts)}: {state} after "
-                f"{len(self.edges)} edges"
-            )
+            expanded, _ = res
 
 
 # ---------------------------------------------------------------------------
 # engine
 
 
-def _make_emit(spec: SearchSpec, witnesses: list[MixedGraph],
-               seen_forms: set[bytes]):
-    """Emission callback for a completed edge set.
+def _visit(job: tuple) -> tuple:
+    """One visit to one skeleton: ``(search, quota, deadline)`` in,
+    ``(search, status, nodes used, visit stats, completed graphs)`` out.
 
-    Keeps only verified witnesses: regular (r, 1) with girth exactly g.
-    In decide mode the first one ends the search (returns True); in
-    enumerate mode each new isomorphism class is recorded.
+    Only verified witnesses are kept: regular (r, 1) with girth exactly
+    g.  In decide mode the first one ends the visit ("found"); in
+    enumerate mode each comes with its canonical encoding, first
+    occurrence within the visit only.  Module level, so a process pool
+    can run it on a copy of the search.
     """
+    search, quota, deadline = job
+    spec = search.spec
+    stats = SearchStats()
+    found: list[tuple[MixedGraph, bytes | None]] = []
+    forms: set[bytes] = set()
 
     def emit(g: MixedGraph) -> bool:
         if degree_profile(g).regular != (spec.r, spec.z):
@@ -761,25 +773,38 @@ def _make_emit(spec: SearchSpec, witnesses: list[MixedGraph],
         if girth(g).girth != spec.g:
             return False
         if spec.mode == "decide":
-            witnesses.append(g)
+            found.append((g, None))
             return True
         enc = canonical_form(g).encoding
-        if enc not in seen_forms:
-            seen_forms.add(enc)
-            witnesses.append(g)
+        if enc not in forms:
+            forms.add(enc)
+            found.append((g, enc))
         return False
 
-    return emit
+    status, used = search.run(quota, deadline, stats, emit)
+    return search, status, used, stats, found
 
 
-def search_order(spec: SearchSpec, checkpoint: dict | None = None) -> SearchOutcome:
+def search_order(
+    spec: SearchSpec, checkpoint: dict | None = None, workers: int = 1
+) -> SearchOutcome:
     """Search for (r,1,g)-graphs of order exactly spec.n.
 
     Witnesses are verified complete graphs: regular (r, 1) with girth
     exactly g.  Pass a checkpoint from an earlier budget-exceeded
     outcome to resume; statistics accumulate across resumes and node
     budgets apply to the cumulative count.
+
+    The search visits the pending skeletons in rounds, in index order.
+    With ``workers`` > 1 a process pool runs each round's visits, and
+    the results are consumed in skeleton order under the same rules, so
+    status, witnesses, statistics and checkpoint do not depend on
+    ``workers``.  A pool visit granted more nodes than the budget left
+    it by the visits before it is rerun in process with the exact
+    quota when it used them.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     stats = SearchStats()
     if spec.n * spec.r % 2 == 1:
         # an r-regular edge layer needs an even degree sum
@@ -804,19 +829,23 @@ def search_order(spec: SearchSpec, checkpoint: dict | None = None) -> SearchOutc
             search.restore(st)
         cursor = checkpoint["cursor"]
         visit_quota_left = checkpoint["visit_quota_left"]
-    emit = _make_emit(spec, witnesses, seen_forms)
 
     deadline = None
     if spec.time_budget is not None:
         deadline = time.monotonic() + spec.time_budget
     quantum: float = spec.rotation_quantum if spec.mode == "decide" else _INF
 
-    def make_checkpoint(cur: int, quota_left: float) -> dict:
-        return {
+    def budget_left() -> float:
+        if spec.node_budget is None:
+            return _INF
+        return spec.node_budget - stats.nodes
+
+    def cut(idx: int, quota_left: float) -> SearchOutcome:
+        return SearchOutcome("budget_exceeded", witnesses, stats, {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "spec": spec.key(),
-            "cursor": cur,
+            "cursor": idx,
             "visit_quota_left": (
                 None if quota_left == _INF else int(quota_left)
             ),
@@ -824,49 +853,68 @@ def search_order(spec: SearchSpec, checkpoint: dict | None = None) -> SearchOutc
             "skeletons": [s.to_state() for s in searches],
             "witnesses": [graph_payload(w) for w in witnesses],
             "seen_forms": sorted(f.hex() for f in seen_forms),
-        }
+        })
 
-    while True:
-        pending = [
-            i for i in range(len(searches)) if not searches[i].exhausted
-        ]
-        if not pending:
-            break
-        for idx in pending:
-            if idx < cursor:
+    def drive(mapper) -> SearchOutcome:
+        nonlocal cursor, visit_quota_left
+        while True:
+            order = [i for i in range(cursor, len(searches))
+                     if not searches[i].exhausted]
+            if not order:
+                if cursor == 0:
+                    break
+                cursor = 0
                 continue
-            # a resumed search finishes its interrupted visit first so
-            # the rotation schedule matches an uninterrupted run
-            visit_quota = quantum
+            cursor = 0
+            quotas = [quantum] * len(order)
             if visit_quota_left is not None:
-                visit_quota = visit_quota_left
-                visit_quota_left = None
-            remaining = _INF
-            if spec.node_budget is not None:
-                remaining = spec.node_budget - stats.nodes
-                if remaining <= 0:
-                    return SearchOutcome(
-                        "budget_exceeded",
-                        witnesses,
-                        stats,
-                        make_checkpoint(idx, visit_quota),
+                # a resumed search finishes its interrupted visit first
+                # so the rotation schedule matches an uninterrupted run
+                quotas[0], visit_quota_left = visit_quota_left, None
+            granted: list[float] = []
+
+            def jobs():
+                # builtin map pulls each job after the previous result
+                # is merged; a pool takes the whole round up front
+                for idx, quota in zip(order, quotas):
+                    granted.append(min(quota, budget_left()))
+                    yield searches[idx], granted[-1], deadline
+
+            results = mapper(_visit, jobs())
+            for k, (idx, quota) in enumerate(zip(order, quotas)):
+                if budget_left() <= 0:
+                    return cut(idx, quota)
+                search, status, used, visit_stats, found = next(results)
+                exact = min(quota, budget_left())
+                if granted[k] > exact and used >= exact:
+                    search, status, used, visit_stats, found = _visit(
+                        (searches[idx], exact, deadline)
                     )
-            status, used = searches[idx].run(
-                min(visit_quota, remaining), deadline, stats, emit
-            )
-            if status == "found":
-                return SearchOutcome("found", witnesses, stats)
-            if status == "paused" and used < visit_quota:
-                # stopped by the global budget or the deadline mid-visit
-                return SearchOutcome(
-                    "budget_exceeded",
-                    witnesses,
-                    stats,
-                    make_checkpoint(idx, visit_quota - used),
-                )
-        cursor = 0
-    status = "found" if witnesses else "exhausted"
-    return SearchOutcome(status, witnesses, stats)
+                searches[idx] = search
+                stats.add(visit_stats)
+                if status == "found":
+                    witnesses.extend(g for g, _ in found)
+                    return SearchOutcome("found", witnesses, stats)
+                for g, enc in found:
+                    if enc not in seen_forms:
+                        seen_forms.add(enc)
+                        witnesses.append(g)
+                if status == "paused" and used < quota:
+                    # stopped by the global budget or the deadline
+                    return cut(idx, quota - used)
+        return SearchOutcome(
+            "found" if witnesses else "exhausted", witnesses, stats
+        )
+
+    if workers == 1:
+        return drive(map)
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return drive(pool.map)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
@@ -897,115 +945,20 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
         raise CheckpointError(f"checkpoint visit quota {quota!r} is invalid")
 
 
-def _run_single_skeleton(payload: tuple) -> dict:
-    """Worker: exhaust one skeleton; used by search_order_parallel."""
-    spec_fields, parts = payload
-    spec = SearchSpec(**spec_fields)
-    skeleton = ArcSkeleton(tuple(parts), tuple(_skeleton_arcs(tuple(parts))))
-    search = _SkeletonSearch(spec, skeleton)
-    stats = SearchStats()
-    witnesses: list[MixedGraph] = []
-    emit = _make_emit(spec, witnesses, set())
-    status, _ = search.run(_INF, None, stats, emit)
-    return {
-        "status": status,
-        "witnesses": [graph_payload(w) for w in witnesses],
-        "stats": stats.as_dict(),
-    }
-
-
-def _merge_worker_stats(stats: SearchStats, res: dict | None, i: int) -> None:
-    """Add one finished skeleton's statistics; a missing result is an error,
-    never a skeleton counted as exhausted."""
-    if res is None:
-        raise RuntimeError(f"skeleton {i} has no worker result")
-    for key, val in res["stats"].items():
-        setattr(stats, key, getattr(stats, key) + val)
-
-
-def search_order_parallel(spec: SearchSpec, threads: int) -> SearchOutcome:
-    """search_order with skeletons exhausted across worker processes.
-
-    Results are schedule independent: in decide mode the reported
-    witness comes from the lowest-index skeleton that found one, and the
-    verdict is issued only once every lower-index skeleton has completed
-    (statistics then cover exactly the skeletons up to the deciding
-    one).  Budgets and checkpoints are not supported here; use the
-    sequential engine for resumable runs.
-    """
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    if spec.node_budget is not None or spec.time_budget is not None:
-        raise ValueError("budgets are not supported with parallel search")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    stats = SearchStats()
-    if spec.n * spec.r % 2 == 1:
-        return SearchOutcome("exhausted", [], stats)
-    skeletons = list(arc_skeletons(spec.n, spec.g))
-    if not skeletons:
-        return SearchOutcome("exhausted", [], stats)
-    spec_fields = {
-        "r": spec.r, "g": spec.g, "n": spec.n, "z": spec.z,
-        "mode": spec.mode, "canonicity_cap": spec.canonicity_cap,
-        "branch_policy": spec.branch_policy,
-    }
-    payloads = [(spec_fields, list(sk.parts)) for sk in skeletons]
-    results: list[dict | None] = [None] * len(skeletons)
-    decided = None
-    pool = ProcessPoolExecutor(max_workers=threads)
-    try:
-        futures = {
-            pool.submit(_run_single_skeleton, p): i
-            for i, p in enumerate(payloads)
-        }
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
-            if spec.mode == "decide":
-                # earliest skeleton with a witness, decidable only once
-                # every lower-index skeleton has completed
-                for i, res in enumerate(results):
-                    if res is None:
-                        break
-                    if res["status"] == "found":
-                        decided = i
-                        break
-                if decided is not None:
-                    break
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    if spec.mode == "decide" and decided is not None:
-        for i, res in enumerate(results[: decided + 1]):
-            _merge_worker_stats(stats, res, i)
-        witness = graph_from_payload(results[decided]["witnesses"][0])
-        return SearchOutcome("found", [witness], stats)
-    witnesses: list[MixedGraph] = []
-    seen: set[bytes] = set()
-    for i, res in enumerate(results):
-        _merge_worker_stats(stats, res, i)
-        for payload in res["witnesses"]:
-            w = graph_from_payload(payload)
-            enc = canonical_form(w).encoding
-            if enc not in seen:
-                seen.add(enc)
-                witnesses.append(w)
-    status = "found" if witnesses else "exhausted"
-    return SearchOutcome(status, witnesses, stats)
-
-
 def determine_cage_number(
     r: int,
     g: int,
     n_max: int,
     node_budget: int | None = None,
     time_budget: float | None = None,
+    workers: int = 1,
 ) -> CageNumber:
     """Smallest order admitting an (r,1,g)-graph, with witness.
 
     Orders below the closed-form lower bound are excluded by the bound
     itself and not searched.  Budgets apply per order; running out, or
     reaching n_max without a witness, raises InconclusiveError carrying
-    the orders proven empty.
+    the orders proven empty.  ``workers`` is passed to search_order.
     """
     lower = ahm_bound(r, g)
     exhausted: list[int] = []
@@ -1019,7 +972,7 @@ def determine_cage_number(
             r=r, g=g, n=n, mode="decide",
             node_budget=node_budget, time_budget=time_budget,
         )
-        outcome = search_order(spec)
+        outcome = search_order(spec, workers=workers)
         if outcome.status == "found":
             return CageNumber(
                 r=r,

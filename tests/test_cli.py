@@ -1,8 +1,11 @@
 import io
 import json
+import multiprocessing
+import os
 
 import pytest
 
+import mixedcages.search as search_module
 from mixedcages.cli import run
 
 
@@ -224,10 +227,68 @@ def test_usage_errors():
     code, _, _ = cli([])
     assert code == 2
     code, _, err = cli(
-        ["search", "--r", "3", "--g", "6", "--n", "12", "--threads", "2",
-         "--budget-nodes", "10"]
+        ["search", "--r", "3", "--g", "6", "--n", "12", "--threads", "0"]
     )
     assert code == 2
+
+
+def test_threads_budget_checkpoint_resume(tmp_path):
+    cp = tmp_path / "run.checkpoint.json"
+    search = ["search", "--r", "3", "--g", "5", "--n", "20", "--json"]
+    code, _, _ = cli(search + ["--threads", "2", "--budget-nodes", "10",
+                               "--checkpoint", str(cp)])
+    assert code == 4
+    assert cp.exists()
+    code, out, err = cli(search + ["--threads", "1", "--checkpoint", str(cp)])
+    assert code == 1
+    assert "resuming" in err
+    code, full, _ = cli(search)
+    assert code == 1
+    assert json.loads(out)["stats"] == json.loads(full)["stats"]
+
+
+@pytest.mark.parametrize("flag", [
+    ["--checkpoint", "CP"], ["--enumerate"], ["--branch-policy", "lex"],
+])
+def test_search_auto_rejects_unused_flags(tmp_path, flag):
+    flag = [str(tmp_path / "cp.json") if a == "CP" else a for a in flag]
+    code, _, err = cli(["search", "--r", "3", "--g", "3", "--auto"] + flag)
+    assert code == 2
+    assert flag[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_auto_passes_threads(monkeypatch):
+    seen = []
+    search_order = search_module.search_order
+
+    def recording(spec, checkpoint=None, workers=1):
+        seen.append(workers)
+        return search_order(spec, checkpoint, workers)
+
+    monkeypatch.setattr(search_module, "search_order", recording)
+    code, out, _ = cli(["search", "--r", "3", "--g", "3", "--auto",
+                        "--threads", "2", "--json"])
+    assert code == 0
+    assert json.loads(out)["value"] == 6
+    assert seen and set(seen) == {2}
+
+
+def _die(job):
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched visit only when forked",
+)
+def test_dead_worker_is_io_error(monkeypatch):
+    monkeypatch.setattr(search_module, "_visit", _die)
+    code, out, err = cli(["search", "--r", "3", "--g", "4", "--n", "12",
+                          "--threads", "2"])
+    assert code == 3
+    assert err.startswith("error:")
+    assert "status" not in out
 
 
 def test_missing_file_is_io_error():

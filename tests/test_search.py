@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -26,7 +27,6 @@ from mixedcages.search import (
     _SkeletonSearch,
     _is_lex_min_full,
     _skeleton_autos,
-    search_order_parallel,
 )
 
 
@@ -256,10 +256,66 @@ def test_checkpoint_spec_mismatch_rejected():
         )
 
 
+_F5 = dict(r=3, g=5, n=20, mode="decide")
+_WORKER_SPECS = [
+    SearchSpec(**_F5),
+    SearchSpec(r=3, g=6, n=30, mode="decide"),
+    SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="lex"),
+    SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="focus"),
+] + [SearchSpec(**_F5, node_budget=b) for b in (1, 999, 1000, 1001, 3000)]
+
+
+@functools.lru_cache(maxsize=None)
+def _search(spec, workers):
+    return search_order(spec, workers=workers)
+
+
+def _observable(out):
+    return (
+        out.status,
+        [w.sorted_edges() for w in out.witnesses],
+        out.stats.as_dict(),
+        json.dumps(out.checkpoint),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_workers_match_in_process(workers):
+    """Status, witnesses in order, statistics and checkpoint do not
+    depend on the number of worker processes, budget cuts included."""
+    for spec in _WORKER_SPECS:
+        assert _observable(_search(spec, workers)) == _observable(
+            _search(spec, 1)
+        ), spec
+    pinned = [(9_688, "exhausted", 0), (31_289, "found", 1),
+              (1_509, "found", 29), (6_121, "found", 29)]
+    for spec, (nodes, status, count) in zip(_WORKER_SPECS, pinned):
+        out = _search(spec, workers)
+        assert (out.stats.nodes, out.status, len(out.witnesses)) == (
+            nodes, status, count
+        )
+    # a resume chain reproduces the direct cut at 3000 nodes and the
+    # uninterrupted statistics
+    out = search_order(SearchSpec(**_F5, node_budget=3000), workers=workers)
+    assert _observable(out) == _observable(
+        _search(SearchSpec(**_F5, node_budget=3000), 1)
+    )
+    hops = 0
+    while out.status == "budget_exceeded":
+        hops += 1
+        out = search_order(
+            SearchSpec(**_F5, node_budget=out.stats.nodes + 3000),
+            checkpoint=json.loads(json.dumps(out.checkpoint)),
+            workers=workers,
+        )
+    assert hops == 3
+    assert _observable(out) == _observable(_search(SearchSpec(**_F5), 1))
+
+
 def test_parallel_matches_sequential():
     seq = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate"))
-    par = search_order_parallel(
-        SearchSpec(r=3, g=4, n=12, mode="enumerate"), threads=2
+    par = search_order(
+        SearchSpec(r=3, g=4, n=12, mode="enumerate"), workers=2
     )
     assert par.status == seq.status
     assert {canonical_form(w).encoding for w in par.witnesses} == {
@@ -269,11 +325,14 @@ def test_parallel_matches_sequential():
 
 
 def test_parallel_decide():
-    par = search_order_parallel(
-        SearchSpec(r=1, g=3, n=6, mode="decide"), threads=2
-    )
+    par = search_order(SearchSpec(r=1, g=3, n=6, mode="decide"), workers=2)
     assert par.status == "found"
     assert girth(par.witnesses[0]).girth == 3
+
+
+def test_workers_must_be_positive():
+    with pytest.raises(ValueError):
+        search_order(SearchSpec(r=1, g=3, n=6), workers=0)
 
 
 def test_time_budget_checkpoints():
@@ -536,15 +595,18 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
     not __import__("os").environ.get("MIXEDCAGES_RUN_UNIQUENESS"),
     reason="over a minute of CPU; set MIXEDCAGES_RUN_UNIQUENESS=1 to run",
 )
-def test_uniqueness_of_order_30_graph():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_uniqueness_of_order_30_graph(workers):
     """Full isomorph-free enumeration at order 30: exactly one class.
 
-    About 70 s single-core; RESULTS.md records the run.
+    About 70 s single-core; RESULTS.md records the run.  Under two
+    workers the same tree runs through the process pool.
     """
     from mixedcages import build_g30, is_isomorphic
 
     out = search_order(
-        SearchSpec(r=3, g=6, n=30, mode="enumerate", branch_policy="focus")
+        SearchSpec(r=3, g=6, n=30, mode="enumerate", branch_policy="focus"),
+        workers=workers,
     )
     assert out.status == "found"
     assert len(out.witnesses) == 1
