@@ -14,13 +14,15 @@ per orientation with that edge itself banned from the return path.
 Vertex-distinctness comes free from breadth-first search, and banning
 the start edge is the only non-reuse constraint that can bind: in a
 vertex-distinct cycle of length >= 3 no incidence can repeat anywhere
-else.  `girth_bruteforce` is an independent oracle that enumerates
-vertex sequences against the definition literally.
+else.  Each call builds every vertex's sorted (neighbor, kind) steps
+once and shares them among its breadth-first searches, one per
+starting incidence, which keep their parents in a list.
+`girth_bruteforce` is an independent oracle that enumerates vertex
+sequences against the definition literally.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import GraphError, MixedGraph, Pair, _normalize_edge
@@ -55,10 +57,6 @@ class GirthResult:
 
     girth: int | None
     witness: CycleWitness | None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.girth is not None
 
 
 def validate_witness(g: MixedGraph, w: CycleWitness) -> None:
@@ -221,13 +219,20 @@ def _shortest_cycle(
             starts.append((EDGE, u, v))
             starts.append((EDGE, v, u))
     starts = sorted(starts, key=lambda t: (t[1], t[2], t[0] != ARC))
+    options = [
+        sorted(
+            [(w, ARC) for w in g.out_neighbors[x]]
+            + [(w, EDGE) for w in g.edge_neighbors[x]],
+            key=lambda t: (t[0], t[1] != ARC),
+        )
+        for x in range(g.n)
+    ]
     best: CycleWitness | None = None
     for kind0, u, v in starts:
         limit = max_len if best is None else best.length - 1
         if limit < 2:
             break
-        banned = _normalize_edge(u, v) if kind0 == EDGE else None
-        found = _bfs_path(g, v, u, banned, limit - 1)
+        found = _bfs_path(options, v, u, kind0 == EDGE, limit - 1)
         if found is None:
             continue
         path_vertices, path_steps = found
@@ -238,45 +243,43 @@ def _shortest_cycle(
 
 
 def _bfs_path(
-    g: MixedGraph,
+    options: list[list[tuple[int, str]]],
     src: int,
     dst: int,
-    banned_edge: Pair | None,
+    ban_start_edge: bool,
     cap: int,
 ) -> tuple[tuple[int, ...], tuple[str, ...]] | None:
-    """Shortest src->dst path of length <= cap in the arc-augmented
-    digraph, never traversing banned_edge; returns (vertices, steps)
-    with vertices starting at src and ending at dst."""
-    if cap < 1:
-        return None
-    parent: dict[int, tuple[int, str]] = {src: (-1, "")}
-    frontier = deque([(src, 0)])
-    while frontier:
-        x, d = frontier.popleft()
-        if d >= cap:
-            break
-        opts = [(w, ARC) for w in g.out_neighbors[x]]
-        opts += [
-            (w, EDGE)
-            for w in g.edge_neighbors[x]
-            if banned_edge is None or _normalize_edge(x, w) != banned_edge
-        ]
-        opts.sort(key=lambda t: (t[0], t[1] != ARC))
-        for w, kind in opts:
-            if w in parent:
-                continue
-            parent[w] = (x, kind)
-            if w == dst:
-                verts = [w]
-                steps = []
-                cur = w
-                while cur != src:
-                    prev, k = parent[cur]
-                    steps.append(k)
-                    verts.append(prev)
-                    cur = prev
-                verts.reverse()
-                steps.reverse()
-                return tuple(verts), tuple(steps)
-            frontier.append((w, d + 1))
+    """Shortest src->dst path of length <= cap over the sorted per-vertex
+    ``(neighbor, kind)`` options of the arc-augmented digraph, never
+    traversing the edge {src, dst} when ban_start_edge; returns
+    (vertices, steps) with vertices starting at src and ending at dst.
+
+    Breadth-first order never steps back into src and stops on reaching
+    dst, so the only way to cross the banned edge is src -> dst."""
+    parent = [-1] * len(options)
+    step = [EDGE] * len(options)
+    parent[src] = src
+    frontier = [src]
+    for _ in range(cap):
+        nxt = []
+        for x in frontier:
+            for w, kind in options[x]:
+                if parent[w] != -1:
+                    continue
+                if w == dst:
+                    if ban_start_edge and x == src and kind == EDGE:
+                        continue
+                    verts = [dst, x]
+                    steps = [kind]
+                    while x != src:
+                        steps.append(step[x])
+                        x = parent[x]
+                        verts.append(x)
+                    verts.reverse()
+                    steps.reverse()
+                    return tuple(verts), tuple(steps)
+                parent[w] = x
+                step[w] = kind
+                nxt.append(w)
+        frontier = nxt
     return None

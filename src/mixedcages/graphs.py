@@ -154,10 +154,6 @@ class DegreeProfile:
     indeg: tuple[int, ...]
     regular: tuple[int, int] | None
 
-    @property
-    def is_regular(self) -> bool:
-        return self.regular is not None
-
 
 def degree_profile(g: MixedGraph) -> DegreeProfile:
     """Compute exact per-vertex degrees and the regularity witness."""

@@ -1,11 +1,15 @@
 """Canonical labeling, isomorphism testing, and automorphism groups.
 
 Mixed graphs carry three adjacency relations (edge, arc-out, arc-in),
-and all three drive an iterative color refinement.  Canonical labeling
-runs the usual individualization-refinement backtrack: refine to an
-equitable coloring, branch on the vertices of the first smallest
-non-singleton color class, and keep the lexicographically least
-adjacency encoding over all discrete leaves.  Whenever two leaves
+and all three drive an iterative color refinement (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).  The
+refinement keeps the color classes as cells in color order and, each
+round, splits only the non-singleton cells, by their members' sorted
+neighbor colors in the three relations; singletons just take the next
+rank.  Canonical labeling runs the usual individualization-refinement
+backtrack: refine to an equitable coloring, branch on the vertices of
+the first smallest non-singleton cell, and keep the lexicographically
+least adjacency encoding over all discrete leaves.  Whenever two leaves
 produce the same encoding, composing their labelings yields a graph
 automorphism; discovered automorphisms prune equivalent branches at the
 top branching level and, collected together, generate the full
@@ -158,38 +162,52 @@ def group_fingerprint(group: AutGroup, cap: int = 1000) -> GroupFingerprint:
 # individualization-refinement search
 
 
-def _refine(g: MixedGraph, colors: list[int]) -> list[int]:
-    """Equitable refinement over the three relations, canonically ranked."""
-    n = g.n
-    ncolors = len(set(colors))
+def _refine(
+    g: MixedGraph, colors: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Equitable refinement over the three relations, canonically ranked.
+
+    Returns the colors, ranked 0..k-1, and the color cells in color
+    order, each listing its vertices in ascending order.  A round gives
+    each member of a non-singleton cell the signature of its sorted
+    edge, out- and in-neighbor colors, ranks the cell's sub-cells by
+    signature, and renumbers all cells in order; a singleton cell just
+    takes the next rank.  That is the ranking of the vertices by
+    (color, signature) over the whole graph.  Refinement stops when a
+    round splits no cell.
+    """
+    edge, out, inn = g.edge_neighbors, g.out_neighbors, g.in_neighbors
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    cells = [by_color[c] for c in sorted(by_color)]
+    colors = [0] * g.n
+    col = colors.__getitem__
     while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted(colors[w] for w in g.edge_neighbors[v])),
-                tuple(sorted(colors[w] for w in g.out_neighbors[v])),
-                tuple(sorted(colors[w] for w in g.in_neighbors[v])),
-            )
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == ncolors:
-            return colors
-        ncolors = len(rank)
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            subs: dict[tuple, list[int]] = {}
+            for v in cell:
+                sig = (
+                    tuple(sorted(map(col, edge[v]))),
+                    tuple(sorted(map(col, out[v]))),
+                    tuple(sorted(map(col, inn[v]))),
+                )
+                subs.setdefault(sig, []).append(v)
+            split.extend(subs[sig] for sig in sorted(subs))
+        if len(split) == len(cells):
+            return colors, cells
+        cells = split
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
     return [c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)]
-
-
-def _target_cell(colors: list[int]) -> list[int]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    nonsingle = [(len(vs), c, vs) for c, vs in cells.items() if len(vs) > 1]
-    _, _, vs = min(nonsingle)
-    return sorted(vs)
 
 
 def _encode(g: MixedGraph, pos: list[int]) -> bytes:
@@ -271,11 +289,12 @@ def _ir_search(
         return uf
 
     def descend(colors: list[int], prefix: tuple[int, ...]) -> None:
-        colors = _refine(g, colors)
-        if len(set(colors)) == n:
+        colors, cells = _refine(g, colors)
+        if len(cells) == n:
             leaf(colors)
             return
-        cell = _target_cell(colors)
+        # the first smallest non-singleton cell in color order
+        cell = min((c for c in cells if len(c) > 1), key=len)
         tried: list[int] = []
         autos_seen = -1
         uf = None

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from mixedcages import MixedGraph, build_g30, new_graph
 
@@ -28,6 +29,38 @@ def random_mixed_graph(rng: random.Random, n_min: int = 1, n_max: int = 10) -> M
         for j in range(n):
             if i != j and rng.random() < arc_p:
                 arcs.append((i, j))
+    return new_graph(n, edges, arcs)
+
+
+@st.composite
+def mixed_graphs(draw, max_n: int = 10) -> MixedGraph:
+    """Hypothesis strategy for mixed graphs on 1..max_n vertices in three
+    shapes: unconstrained (2-cycles included), acyclic, and split into
+    two parts with no incidence between them."""
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(("any", "acyclic", "disconnected")))
+    arc_pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edge_pairs = [(u, v) for u, v in arc_pairs if u < v]
+    if shape == "acyclic":
+        # a forest in which each vertex hangs off at most one earlier
+        # vertex, plus arcs only from a tree with a smaller root to one
+        # with a larger root: no cycle can return to its start
+        root = list(range(n))
+        edge_pairs = []
+        for v in range(1, n):
+            parent = draw(st.none() | st.integers(0, v - 1))
+            if parent is not None:
+                edge_pairs.append((parent, v))
+                root[v] = root[parent]
+        edges = edge_pairs
+        arc_pairs = [(u, v) for u, v in arc_pairs if root[u] < root[v]]
+    else:
+        if shape == "disconnected":
+            cut = draw(st.integers(0, n))
+            arc_pairs = [(u, v) for u, v in arc_pairs if (u < cut) == (v < cut)]
+            edge_pairs = [(u, v) for u, v in edge_pairs if (u < cut) == (v < cut)]
+        edges = draw(st.lists(st.sampled_from(edge_pairs), unique=True)) if edge_pairs else []
+    arcs = draw(st.lists(st.sampled_from(arc_pairs), unique=True)) if arc_pairs else []
     return new_graph(n, edges, arcs)
 
 

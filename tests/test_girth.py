@@ -1,9 +1,14 @@
+import importlib
 import random
+from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedcages import (
     CapExceededError,
+    CycleWitness,
     apply_permutation,
     girth,
     girth_bruteforce,
@@ -14,7 +19,10 @@ from mixedcages import (
 )
 from mixedcages.graphs import GraphError
 
-from conftest import random_mixed_graph
+from conftest import mixed_graphs, random_mixed_graph
+
+# `mixedcages.girth` as a package attribute is the function
+girth_module = importlib.import_module("mixedcages.girth")
 
 
 def test_single_edge_has_no_cycle():
@@ -93,8 +101,6 @@ def test_fast_matches_bruteforce_on_random_graphs():
 
 
 def test_witness_validation_rejects_junk(g30):
-    from mixedcages import CycleWitness
-
     with pytest.raises(GraphError):
         validate_witness(g30, CycleWitness((0, 1), ("edge",)))  # open walk
     with pytest.raises(GraphError):
@@ -181,3 +187,89 @@ def test_incremental_check_matches_full():
 def test_incremental_requires_present_incidence(g30):
     with pytest.raises(GraphError):
         has_girth_at_least(g30, 6, new_edge=(0, 3))
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the shortest-cycle search as it was before the
+# per-vertex step options were built once per call
+
+
+def _reference_shortest_cycle(g, max_len, starts=None):
+    if starts is None:
+        starts = [("arc", u, v) for u, v in g.arcs]
+        for u, v in g.edges:
+            starts.append(("edge", u, v))
+            starts.append(("edge", v, u))
+    starts = sorted(starts, key=lambda t: (t[1], t[2], t[0] != "arc"))
+    best = None
+    for kind0, u, v in starts:
+        limit = max_len if best is None else best.length - 1
+        if limit < 2:
+            break
+        banned = (min(u, v), max(u, v)) if kind0 == "edge" else None
+        found = _reference_bfs_path(g, v, u, banned, limit - 1)
+        if found is None:
+            continue
+        path_vertices, path_steps = found
+        w = CycleWitness((u, *path_vertices), (kind0, *path_steps))
+        if best is None or w.length < best.length:
+            best = w
+    return best
+
+
+def _reference_bfs_path(g, src, dst, banned_edge, cap):
+    if cap < 1:
+        return None
+    parent = {src: (-1, "")}
+    frontier = deque([(src, 0)])
+    while frontier:
+        x, d = frontier.popleft()
+        if d >= cap:
+            break
+        opts = [(w, "arc") for w in g.out_neighbors[x]]
+        opts += [
+            (w, "edge")
+            for w in g.edge_neighbors[x]
+            if banned_edge is None or (min(x, w), max(x, w)) != banned_edge
+        ]
+        opts.sort(key=lambda t: (t[0], t[1] != "arc"))
+        for w, kind in opts:
+            if w in parent:
+                continue
+            parent[w] = (x, kind)
+            if w == dst:
+                verts = [w]
+                steps = []
+                cur = w
+                while cur != src:
+                    prev, k = parent[cur]
+                    steps.append(k)
+                    verts.append(prev)
+                    cur = prev
+                verts.reverse()
+                steps.reverse()
+                return tuple(verts), tuple(steps)
+            frontier.append((w, d + 1))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs(), st.data())
+def test_shortest_cycle_matches_reference(g, data):
+    for max_len in range(0, g.n + 2):
+        assert girth_module._shortest_cycle(g, max_len) == _reference_shortest_cycle(
+            g, max_len
+        )
+    fast = girth(g)
+    with mock.patch.object(girth_module, "_shortest_cycle", _reference_shortest_cycle):
+        assert fast == girth(g)
+    for key, pairs in (("new_edge", g.edges), ("new_arc", g.arcs)):
+        if not pairs:
+            continue
+        pair = data.draw(st.sampled_from(sorted(pairs)))
+        target = data.draw(st.integers(2, g.n + 1))
+        fast = has_girth_at_least(g, target, **{key: pair})
+        with mock.patch.object(
+            girth_module, "_shortest_cycle", _reference_shortest_cycle
+        ):
+            assert fast == has_girth_at_least(g, target, **{key: pair})

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +17,14 @@ from mixedcages import (
     is_isomorphic,
     new_graph,
 )
+from mixedcages import isomorphism
 from mixedcages.constructions import (
+    build_g30,
     rotation_automorphism,
     row_transposition_automorphism,
 )
 
-from conftest import random_mixed_graph
+from conftest import mixed_graphs, random_mixed_graph
 
 
 def brute_force_automorphism_count(g):
@@ -293,3 +297,87 @@ def test_stab_chain_matches_closure(case):
             accepted.append(p)
             group = set(_closure(accepted, n, cap=math.factorial(n)))
         assert chain.order() == len(group)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the refinement as it was before it worked cell by
+# cell, re-ranking every vertex by a full signature each round
+
+
+def _reference_refine(g, colors):
+    n = g.n
+    ncolors = len(set(colors))
+    while True:
+        sigs = [
+            (
+                colors[v],
+                tuple(sorted(colors[w] for w in g.edge_neighbors[v])),
+                tuple(sorted(colors[w] for w in g.out_neighbors[v])),
+                tuple(sorted(colors[w] for w in g.in_neighbors[v])),
+            )
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == ncolors:
+            return colors
+        ncolors = len(rank)
+
+
+def _reference_refine_cells(g, colors):
+    colors = _reference_refine(g, colors)
+    cells = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return colors, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs(), st.data())
+def test_refine_matches_reference(g, data):
+    palette = data.draw(st.sampled_from(((0, 1, 2), (0, 3, 7, 40), (5,))))
+    colors = data.draw(
+        st.lists(st.sampled_from(palette), min_size=g.n, max_size=g.n)
+    )
+    assert isomorphism._refine(g, colors) == _reference_refine_cells(g, colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs())
+def test_labeling_and_group_match_reference_refine(g):
+    cf = canonical_form(g)
+    group = automorphism_group(g)
+    with mock.patch.object(isomorphism, "_refine", _reference_refine_cells):
+        assert cf == canonical_form(g)
+        assert group == automorphism_group(g)
+
+
+# sha256 of canonical_form(g).encoding, recorded before the refinement
+# was rewritten; enumerate checkpoints store encodings as seen_forms, so
+# a changed encoding would make a resumed run emit classes twice
+PINNED_ENCODINGS = {
+    "g30": "ceedebe767c179ad45fd408d9a6baa09762152b3ce23d6a4d95be7e7f017ac99",
+    "petersen": "673ea83e9622876b1c85e448a6d934b2e3900b6c6a14aa27c4895da0f5216a41",
+    "c30": "2ea7c18c76f16f6174c13f886b0a24e3ef51711879827983d2cdd5690172d519",
+    "class00": "4c4c0ae4c243097b40c250592290daf271d109ba1d22d20278a9f7490afcee0d",
+}
+
+
+def _pinned_graph(name):
+    if name == "g30":
+        return build_g30()
+    if name == "petersen":
+        return petersen()
+    if name == "c30":
+        return new_graph(30, arcs=[(i, (i + 1) % 30) for i in range(30)])
+    # the first of the 29 classes of the (3,1,4) enumeration at order 12
+    edges = [(0, 3), (0, 5), (0, 7), (1, 4), (1, 6), (1, 8), (2, 5), (2, 7),
+             (2, 9), (3, 8), (3, 10), (4, 9), (4, 11), (5, 10), (6, 9),
+             (6, 11), (7, 10), (8, 11)]
+    return new_graph(12, edges, arcs=[(i, (i + 1) % 12) for i in range(12)])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENCODINGS))
+def test_canonical_encoding_is_pinned(name):
+    encoding = canonical_form(_pinned_graph(name)).encoding
+    assert hashlib.sha256(encoding).hexdigest() == PINNED_ENCODINGS[name]
