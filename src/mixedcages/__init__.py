@@ -6,6 +6,9 @@ the classical degree/diameter lower bounds for them, and searches
 exhaustively for minimum-order examples with out-degree 1.
 """
 
+# first, so that modules imported below can read it
+__version__ = "0.1.0"
+
 from .bounds import ahm_bound, moore_bound
 from .constructions import (
     CollisionError,
@@ -77,4 +80,3 @@ from .search import (
     skeleton_group_order,
 )
 
-__version__ = "0.1.0"

@@ -22,7 +22,12 @@ distance matrix that each completed vertex updates once for its whole
 batch of new edges and backtracking restores from an undo stack;
 degree-demand feasibility against the partners still joinable at
 girth-compatible distance, read from a matrix of free pairs kept by the
-same update; and a parity cut.
+same update; and a parity cut.  Each node counts the free deficient
+partners of every vertex with one integer matrix-vector product, which
+serves the feasibility cut and the fail-first choice alike.  The
+distance matrix holds the narrowest signed integers its update sums
+fit (int8 up to girth 64), and the counts the narrowest unsigned
+integers that hold the order (uint8 up to order 255).
 
 One driver serves every run: it visits the pending skeletons in
 rounds, each visit a node quota on one skeleton, and merges the visits
@@ -43,6 +48,7 @@ from math import comb as _comb
 
 import numpy as _np
 
+from . import __version__
 from .bounds import ahm_bound
 from .girth import girth
 from .graphs import MixedGraph, Pair, degree_profile, new_graph
@@ -394,17 +400,6 @@ class _CanonicityTracker:
         return new_ties, new_strict
 
 
-def _is_lex_min_full(
-    edges: tuple[Pair, ...], autos: list[tuple[int, ...]]
-) -> bool:
-    """Reference full-scan implementation (kept for tests)."""
-    lst = list(edges)
-    for gamma in autos:
-        if sorted(_map_edge(gamma, e) for e in edges) < lst:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # per-skeleton depth-first search
 
@@ -421,11 +416,18 @@ class _Frame:
         self.strict = strict
 
 
-def _skeleton_distances(parts: tuple[int, ...], cap: int) -> _np.ndarray:
+def _smallest_dtype(types: tuple, bound: int):
+    """The first of ``types`` whose range reaches ``bound``."""
+    return next(t for t in types if _np.iinfo(t).max >= bound)
+
+
+def _skeleton_distances(
+    parts: tuple[int, ...], cap: int, dtype
+) -> _np.ndarray:
     """Capped directed distances of a bare skeleton: along each cycle,
     ``cap`` between different cycles."""
     n = sum(parts)
-    dist = _np.full((n, n), cap, dtype=_np.int32)
+    dist = _np.full((n, n), cap, dtype=dtype)
     for start, length in zip(_block_starts(parts), parts):
         steps = _np.arange(length)
         block = (steps[None, :] - steps[:, None]) % length
@@ -454,6 +456,13 @@ class _SkeletonSearch:
     Capped inputs give exact sums below the cap.  The same sum clears
     the pairs of ``free`` it brings near.  One undo entry per batch keeps
     the replaced matrices.
+
+    Each node computes the mask of deficient vertices once and counts
+    every vertex's free deficient partners with one integer
+    matrix-vector product.  Both dtypes follow from the input size:
+    ``dist`` is the smallest signed type holding 2(g-1)+1, the largest
+    sum the update forms (int8 up to g = 64), and the counts the
+    smallest unsigned type holding n (uint8 up to n = 255).
     """
 
     def __init__(self, spec: SearchSpec, skeleton: ArcSkeleton) -> None:
@@ -462,7 +471,13 @@ class _SkeletonSearch:
         n = spec.n
         self.n = n
         self.cap = spec.g - 1
-        self.dist = _skeleton_distances(skeleton.parts, self.cap)
+        dist_dtype = _smallest_dtype(
+            (_np.int8, _np.int16, _np.int32, _np.int64), 2 * self.cap + 1
+        )
+        self.dist = _skeleton_distances(skeleton.parts, self.cap, dist_dtype)
+        self._count_dtype = _smallest_dtype(
+            (_np.uint8, _np.uint16, _np.uint32, _np.uint64), n
+        )
         near = self.dist < self.cap
         self.free = ~(near | near.T)
         _np.fill_diagonal(self.free, False)
@@ -490,8 +505,9 @@ class _SkeletonSearch:
         for u in partners[1:]:
             to_u = _np.minimum(to_u, d[:, u])
             from_u = _np.minimum(from_u, d[u])
-        to_v = _np.minimum(d[:, v], to_u + 1)
-        from_v = _np.minimum(d[v], from_u + 1)
+        to_v, from_v = to_u + 1, from_u + 1
+        _np.minimum(to_v, d[:, v], out=to_v)
+        _np.minimum(from_v, d[v], out=from_v)
         via = to_v[:, None] + from_v
         far = via >= self.cap
         self._undo.append((d, self.free, v, partners))
@@ -516,26 +532,38 @@ class _SkeletonSearch:
 
     # -- search proper
 
-    def _slack(self) -> tuple[_np.ndarray, _np.ndarray]:
+    def _slack(
+        self, deficient: _np.ndarray | None = None
+    ) -> tuple[_np.ndarray, _np.ndarray]:
         """Deficient vertices, and for each the number of deficient
         partners it could still take at girth-compatible distance minus
-        its remaining demand."""
+        its remaining demand.  ``deficient`` is the mask ``deg < r``."""
         r = self.spec.r
-        deficient = self.deg < r
+        if deficient is None:
+            deficient = self.deg < r
+        # the product sums in the wider dtype, the one that holds n
+        counts = self.free.view(_np.uint8) @ deficient.astype(
+            self._count_dtype
+        )
         rows = deficient.nonzero()[0]
-        avail = (self.free[rows] & deficient).sum(axis=1)
-        return rows, avail - (r - self.deg[rows])
+        return rows, (counts + self.deg)[rows] - r
 
-    def _candidates(self, v: int) -> _np.ndarray:
+    def _candidates(
+        self, v: int, deficient: _np.ndarray | None = None
+    ) -> _np.ndarray:
         """Partners that can take an edge to v without closing a cycle
         shorter than g (single-edge criterion, exact).  Under "lex" the
         completion order restricts partners to u > v."""
-        ok = self.free[v] & (self.deg < self.spec.r)
+        if deficient is None:
+            deficient = self.deg < self.spec.r
+        ok = self.free[v] & deficient
         if self.policy == "lex":
             ok[: v + 1] = False
         return ok.nonzero()[0]
 
-    def _combos_for(self, v: int) -> tuple[list[tuple[int, ...]], int]:
+    def _combos_for(
+        self, v: int, deficient: _np.ndarray | None = None
+    ) -> tuple[list[tuple[int, ...]], int]:
         """Sorted partner combinations for completing vertex v, plus the
         count of raw combinations eliminated by girth constraints.
 
@@ -551,31 +579,35 @@ class _SkeletonSearch:
         length <= g-3 between two candidates that ran through v would
         put one of them within g-4 of v, and then it would not be a
         candidate.
+
+        A single missing edge needs no pair test.  Otherwise each chosen
+        candidate narrows the pool of later candidates to those its row
+        of the pair matrix allows, which yields the combinations in
+        lexicographic order.
         """
         need = self.spec.r - int(self.deg[v])
-        idx = self._candidates(v)
-        if len(idx) < need:
-            return [], 0
-        close = self.dist[idx[:, None], idx] < self.cap - 1
-        bad = (close | close.T).tolist()
+        idx = self._candidates(v, deficient)
         cands = idx.tolist()
-
+        if len(cands) < need:
+            return [], 0
+        if need == 1:
+            return [(c,) for c in cands], 0
+        far = self.dist[idx[:, None], idx] >= self.cap - 1
+        ok = (far & far.T).tolist()
         out: list[tuple[int, ...]] = []
-        chosen: list[int] = []
 
-        def rec(start: int) -> None:
-            if len(chosen) == need:
-                out.append(tuple(cands[i] for i in chosen))
-                return
-            remaining = need - len(chosen)
-            for i in range(start, len(cands) - remaining + 1):
-                row = bad[i]
-                if not any(row[j] for j in chosen):
-                    chosen.append(i)
-                    rec(i + 1)
-                    chosen.pop()
+        def grow(head: tuple[int, ...], pool, k: int) -> None:
+            # pool: positions compatible with all of head; k >= 2 to pick
+            for p in range(len(pool) - k + 1):
+                i = pool[p]
+                row = ok[i]
+                rest = [j for j in pool[p + 1:] if row[j]]
+                if k == 2:
+                    out.extend(head + (cands[i], cands[j]) for j in rest)
+                elif len(rest) >= k - 1:
+                    grow(head + (cands[i],), rest, k - 1)
 
-        rec(0)
+        grow((), range(len(cands)), need)
         return out, _comb(len(cands), need) - len(out)
 
     def _expand(
@@ -587,17 +619,19 @@ class _SkeletonSearch:
         combination count).  "infeasible": some deficient vertex sees
         fewer girth-compatible deficient partners than it still needs.
         One slack count serves that test and the "focus" choice of the
-        vertex to complete next, the one with the least slack; "lex"
+        vertex to complete next, the first with the least slack; "lex"
         completes the least-index deficient vertex, whose partners then
         all sit above it, keeping the edge list sorted.
         """
-        rows, slack = self._slack()
+        deficient = self.deg < self.spec.r
+        rows, slack = self._slack(deficient)
         if len(rows) == 0:
             return "complete", 0
-        if slack.min() < 0:
+        least = slack.argmin()
+        if slack[least] < 0:
             return "infeasible", 0
-        v = int(rows[0] if self.policy == "lex" else rows[slack.argmin()])
-        combos, pruned = self._combos_for(v)
+        v = int(rows[0] if self.policy == "lex" else rows[least])
+        combos, pruned = self._combos_for(v, deficient)
         self.stack.append(_Frame(v, combos, batched, ties, strict))
         return "pushed", pruned
 
@@ -844,6 +878,7 @@ def search_order(
         return SearchOutcome("budget_exceeded", witnesses, stats, {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
+            "package_version": __version__,
             "spec": spec.key(),
             "cursor": idx,
             "visit_quota_left": (

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedcages import (
+    __version__,
     CheckpointError,
     InconclusiveError,
     SearchSpec,
@@ -25,7 +26,6 @@ from mixedcages import (
 from mixedcages.search import (
     _CanonicityTracker,
     _SkeletonSearch,
-    _is_lex_min_full,
     _skeleton_autos,
 )
 
@@ -70,6 +70,18 @@ def test_skeleton_group_orders():
     assert skeleton_group_order((6, 6, 6, 6, 6)) == 933120
     parts = (4, 4, 3)
     assert len(_skeleton_autos(parts)) == skeleton_group_order(parts)
+
+
+def _is_lex_min_full(edges, autos):
+    """Reference full scan: no skeleton automorphism maps the sorted
+    edge list to a lexicographically smaller one."""
+    for gamma in autos:
+        mapped = sorted(
+            tuple(sorted((gamma[a], gamma[b]))) for a, b in edges
+        )
+        if mapped < list(edges):
+            return False
+    return True
 
 
 def test_incremental_canonicity_matches_full_scan():
@@ -412,6 +424,23 @@ def test_malformed_checkpoint_rejected(corrupt):
         search_order(spec, checkpoint=cp)
 
 
+def test_checkpoint_records_package_version():
+    """The package version is provenance only: a checkpoint without it,
+    or from another version, resumes to the uninterrupted statistics."""
+    spec, cp = _cut_checkpoint()
+    assert cp["version"] == 1
+    assert cp["package_version"] == __version__
+    full = search_order(spec).stats.as_dict()
+    for recorded in (None, "0.0.0"):
+        trial = json.loads(json.dumps(cp))
+        if recorded is None:
+            del trial["package_version"]
+        else:
+            trial["package_version"] = recorded
+        resumed = search_order(spec, checkpoint=trial)
+        assert resumed.stats.as_dict() == full
+
+
 def test_checkpoint_replay_either_resumes_or_rejects():
     """Every inner index in range either names a combination that was
     expanded, or its replay is refused; no other exception escapes."""
@@ -487,6 +516,48 @@ def _reference_combos(search, trans, v, cands):
     return out, comb(len(cands), need) - len(out)
 
 
+def _arc_matrix(skeleton):
+    n = sum(skeleton.parts)
+    arc_mat = np.zeros((n, n), dtype=bool)
+    for a, b in skeleton.arcs:
+        arc_mat[a, b] = True
+    return arc_mat
+
+
+def _check_against_recount(search, arc_mat, batches, combos=True):
+    """The edges, degrees, distances, free pairs, slack, candidates and
+    (with ``combos``) combinations of ``search`` equal a from-scratch
+    recount of the skeleton arcs plus the edge batches."""
+    n, r, g = search.n, search.spec.r, search.spec.g
+    adj = np.zeros((n, n), dtype=bool)
+    deg = np.zeros(n, dtype=int)
+    for v, partners in batches:
+        for u in partners:
+            adj[v, u] = adj[u, v] = True
+            deg[u] += 1
+        deg[v] += len(partners)
+    assert sorted(search.edges) == sorted(zip(*np.nonzero(np.triu(adj))))
+    assert search.deg.tolist() == deg.tolist()
+    trans = arc_mat | adj
+    assert (search.dist == _reference_dist(trans, g - 1)).all()
+    free = _reference_free(search, trans, adj)
+    assert (search.free == free).all()
+    rows = [x for x in range(n) if deg[x] < r]
+    slack = [
+        sum(1 for y in rows if free[x, y]) - (r - deg[x]) for x in rows
+    ]
+    got_rows, got_slack = search._slack()
+    assert got_rows.tolist() == rows and got_slack.tolist() == slack
+    for x in rows:
+        floor = x if search.spec.effective_policy() == "lex" else -1
+        cands = [y for y in rows if free[x, y] and y > floor]
+        assert search._candidates(x).tolist() == cands
+        if combos:
+            assert search._combos_for(x) == _reference_combos(
+                search, trans, x, cands
+            )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_incremental_distances_match_matrix_powers(data):
@@ -505,9 +576,7 @@ def test_incremental_distances_match_matrix_powers(data):
         branch_policy=data.draw(st.sampled_from(["lex", "focus"])),
     )
     search = _SkeletonSearch(spec, skeleton)
-    arc_mat = np.zeros((n, n), dtype=bool)
-    for a, b in skeleton.arcs:
-        arc_mat[a, b] = True
+    arc_mat = _arc_matrix(skeleton)
     batches = []
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
         if batches and data.draw(st.booleans(), label="undo"):
@@ -528,32 +597,33 @@ def test_incremental_distances_match_matrix_powers(data):
             )))
             search._add_batch(v, partners)
             batches.append((v, partners))
-        adj = np.zeros((n, n), dtype=bool)
-        deg = np.zeros(n, dtype=int)
-        for v, partners in batches:
-            for u in partners:
-                adj[v, u] = adj[u, v] = True
-                deg[u] += 1
-            deg[v] += len(partners)
-        assert sorted(search.edges) == sorted(zip(*np.nonzero(np.triu(adj))))
-        assert search.deg.tolist() == deg.tolist()
-        trans = arc_mat | adj
-        assert (search.dist == _reference_dist(trans, g - 1)).all()
-        free = _reference_free(search, trans, adj)
-        assert (search.free == free).all()
-        rows = [x for x in range(n) if deg[x] < r]
-        slack = [
-            sum(1 for y in rows if free[x, y]) - (r - deg[x]) for x in rows
-        ]
-        got_rows, got_slack = search._slack()
-        assert got_rows.tolist() == rows and got_slack.tolist() == slack
-        for x in rows:
-            floor = x if spec.effective_policy() == "lex" else -1
-            cands = [y for y in rows if free[x, y] and y > floor]
-            assert search._candidates(x).tolist() == cands
-            assert search._combos_for(x) == _reference_combos(
-                search, trans, x, cands
-            )
+        _check_against_recount(search, arc_mat, batches)
+
+
+@pytest.mark.parametrize(
+    "parts,g", [((260,), 3), ((70, 70), 70)], ids=["n260-g3", "n140-g70"]
+)
+def test_search_state_holds_past_narrow_dtype_limits(parts, g):
+    """On one 260-cycle at g = 3 a vertex counts 257 free deficient
+    partners, past 255.  On two 70-cycles at g = 70, distances between
+    the cycles sit at the cap 69 until edges join them, and the update
+    forms sums up to 138, past 127.  After every batch, and after an
+    undo, the state still equals a from-scratch recount."""
+    n = sum(parts)
+    skeleton = next(s for s in arc_skeletons(n, g) if s.parts == parts)
+    search = _SkeletonSearch(SearchSpec(r=3, g=g, n=n), skeleton)
+    arc_mat = _arc_matrix(skeleton)
+    step = n // 5
+    batches = []
+    _check_against_recount(search, arc_mat, batches, combos=False)
+    for v, partners in [(0, (step, 2 * step, 3 * step)), (1, (4 * step,)),
+                        (step + 1, (2 * step + 2, n - 2))]:
+        search._add_batch(v, partners)
+        batches.append((v, partners))
+        _check_against_recount(search, arc_mat, batches, combos=False)
+    search._pop_batch()
+    batches.pop()
+    _check_against_recount(search, arc_mat, batches, combos=False)
 
 
 def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
@@ -599,7 +669,7 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
 def test_uniqueness_of_order_30_graph(workers):
     """Full isomorph-free enumeration at order 30: exactly one class.
 
-    About 70 s single-core; RESULTS.md records the run.  Under two
+    About 50 s single-core; RESULTS.md records the run.  Under two
     workers the same tree runs through the process pool.
     """
     from mixedcages import build_g30, is_isomorphic
