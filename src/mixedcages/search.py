@@ -29,6 +29,16 @@ distance matrix holds the narrowest signed integers its update sums
 fit (int8 up to girth 64), and the counts the narrowest unsigned
 integers that hold the order (uint8 up to order 255).
 
+The skeleton group is one integer array of vertex images, built when a
+skeleton first needs it and only when its order is within the spec's
+``canonicity_cap``.  Mapping an edge list through every element at once
+gives the least image of its orbit, which decides the orderly test and
+keys the deduplication of enumerate emissions: two completions of one
+skeleton are isomorphic exactly when a skeleton automorphism maps one
+onto the other, because an isomorphism between them preserves the
+shared arcs.  So an enumeration checks the girth of, and canonically
+labels, one graph per class, not every emission.
+
 One driver serves every run: it visits the pending skeletons in
 rounds, each visit a node quota on one skeleton, and merges the visits
 in skeleton order, whether they ran in process or in a pool of worker
@@ -85,10 +95,12 @@ class SearchSpec:
     wall-clock budgets are best effort.  In decide mode skeletons are
     served round-robin in quanta of ``rotation_quantum`` nodes so a
     witness-free skeleton cannot stall the verdict; enumerate mode
-    exhausts skeletons in order.  ``canonicity_cap`` bounds the size of
-    skeleton automorphism groups used for orderly rejection; a skeleton
-    with a larger group runs without interior rejection and relies on
-    emission-time deduplication.
+    exhausts skeletons in order.  ``canonicity_cap`` bounds the order of
+    the skeleton automorphism groups kept as an array of group elements;
+    that array serves the orderly rejection of "lex" searches and the
+    deduplication of enumerate emissions.  A skeleton with a larger group
+    runs without interior rejection and labels every emission
+    canonically; a cap of 1 keeps no array for any skeleton.
     """
 
     r: int
@@ -115,6 +127,14 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.branch_policy not in ("auto", "lex", "focus"):
             raise ValueError(f"unknown branch policy {self.branch_policy!r}")
+        if self.rotation_quantum < 1:
+            raise ValueError(
+                f"rotation quantum must be >= 1, got {self.rotation_quantum}"
+            )
+        if self.canonicity_cap < 1:
+            raise ValueError(
+                f"canonicity cap must be >= 1, got {self.canonicity_cap}"
+            )
 
     def effective_policy(self) -> str:
         """Vertex-selection policy.
@@ -285,119 +305,57 @@ def skeleton_group_order(parts: tuple[int, ...]) -> int:
     return total
 
 
-def _skeleton_autos(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All skeleton automorphisms as vertex image tuples."""
+def _skeleton_autos(parts: tuple[int, ...]) -> _np.ndarray:
+    """All skeleton automorphisms, one row of vertex images each, in the
+    narrowest signed integers that hold n-1.  Rows run over the
+    permutations of equal-length cycles, and within each over every
+    combination of cycle rotations."""
     n = sum(parts)
     starts = _block_starts(parts)
     by_len: dict[int, list[int]] = {}
     for idx, length in enumerate(parts):
         by_len.setdefault(length, []).append(idx)
     classes = [by_len[length] for length in sorted(by_len)]
-    class_maps = [list(permutations(c)) for c in classes]
-    out = []
-    for assignment in product(*class_maps):
-        sigma: dict[int, int] = {}
+    rots = _np.indices(parts).reshape(len(parts), -1)
+    dtype = _smallest_dtype((_np.int8, _np.int16, _np.int32, _np.int64), n - 1)
+    blocks = []
+    for assignment in product(*[permutations(c) for c in classes]):
+        img = _np.empty((rots.shape[1], n), dtype=dtype)
         for cls, mapped in zip(classes, assignment):
             for src, dst in zip(cls, mapped):
-                sigma[src] = dst
-        for rots in product(*[range(p) for p in parts]):
-            img = [0] * n
-            for i, length in enumerate(parts):
-                s, d, r = starts[i], starts[sigma[i]], rots[i]
-                for pos in range(length):
-                    img[s + pos] = d + (pos + r) % length
-            out.append(tuple(img))
-    return out
+                s, length = starts[src], parts[src]
+                steps = _np.arange(length) + rots[src][:, None]
+                img[:, s:s + length] = starts[dst] + steps % length
+        blocks.append(img)
+    return _np.concatenate(blocks)
 
 
-# ---------------------------------------------------------------------------
-# canonicity under the skeleton group
+def _least_image(autos: _np.ndarray, edges) -> _np.ndarray:
+    """Lexicographically least image of an edge list under the rows of
+    ``autos``.  Each row maps every edge to the code a*n+b of its image
+    {a, b}, a < b, and sorts its codes; the least sorted row is returned.
+    Edge sets in one orbit of the group get the same least image, and a
+    sorted edge list is least in its orbit iff its codes equal it.
 
-
-def _map_edge(gamma: tuple[int, ...], e: Pair) -> Pair:
-    a, b = gamma[e[0]], gamma[e[1]]
-    return (a, b) if a < b else (b, a)
-
-
-def _full_compare(
-    gamma: tuple[int, ...], edges: tuple[Pair, ...]
-) -> tuple[int, Pair | None]:
-    """Compare sorted(gamma(edges)) against edges.
-
-    Returns (-1/0/+1, d) with d the gamma-side value at the first
-    difference (None on ties); d feeds the incremental bookkeeping.
-    """
-    mapped = sorted(_map_edge(gamma, e) for e in edges)
-    for m, e in zip(mapped, edges):
-        if m < e:
-            return -1, m
-        if m > e:
-            return 1, m
-    return 0, None
-
-
-class _CanonicityTracker:
-    """Incremental lexicographic-minimality test under the skeleton group.
-
-    Each frame stores, per group element, whether it ties the current
-    edge list setwise or strictly exceeds it, plus the exact deciding
-    value for strict elements.  Every accepted batch sorts after all
-    earlier edges, so a tie needs only its mapped batch compared with
-    the batch, and a strict element can only flip when a mapped batch
-    edge drops below its deciding value.
-    """
-
-    def __init__(self, autos: list[tuple[int, ...]]) -> None:
-        self.autos = autos
-
-    def root(self) -> tuple[list[int], list[tuple[int, Pair]]]:
-        return list(range(len(self.autos))), []
-
-    def child(
-        self,
-        edges: tuple[Pair, ...],
-        batch: tuple[Pair, ...],
-        ties: list[int],
-        strict: list[tuple[int, Pair]],
-    ) -> tuple[list[int], list[tuple[int, Pair]]] | None:
-        """State after appending a sorted batch; None when not minimal."""
-        batch_list = list(batch)
-        new_ties: list[int] = []
-        new_strict: list[tuple[int, Pair]] = []
-        for gi in ties:
-            gamma = self.autos[gi]
-            mapped = sorted(_map_edge(gamma, e) for e in batch)
-            if mapped < batch_list:
-                return None
-            if mapped == batch_list:
-                new_ties.append(gi)
-            else:
-                verdict, d = _full_compare(gamma, edges)
-                if verdict <= 0 or d is None:
-                    raise RuntimeError(
-                        "canonicity tracker: a tie whose mapped batch "
-                        "sorts above the batch must compare greater"
-                    )
-                new_strict.append((gi, d))
-        for gi, d in strict:
-            gamma = self.autos[gi]
-            m = min(_map_edge(gamma, e) for e in batch)
-            if m >= d:
-                new_strict.append((gi, d))
-                continue
-            verdict, d2 = _full_compare(gamma, edges)
-            if verdict < 0:
-                return None
-            if verdict == 0:
-                new_ties.append(gi)
-            elif d2 is None:
-                raise RuntimeError(
-                    "canonicity tracker: a strict comparison lacks its "
-                    "deciding value"
-                )
-            else:
-                new_strict.append((gi, d2))
-        return new_ties, new_strict
+    Only the rows whose least code is the overall least can win, so only
+    those are sorted and then narrowed column by column."""
+    n = autos.shape[1]
+    ends = _np.array(edges, dtype=_np.intp).reshape(-1, 2)
+    a, b = autos[:, ends[:, 0]], autos[:, ends[:, 1]]
+    codes = _np.minimum(a, b).astype(
+        _smallest_dtype((_np.int16, _np.int32, _np.int64), n * n)
+    )
+    codes *= n
+    codes += _np.maximum(a, b)
+    first = codes.min(axis=1, initial=n * n)
+    codes = codes[first == first.min()]
+    codes.sort(axis=1)
+    for j in range(1, codes.shape[1]):
+        col = codes[:, j]
+        codes = codes[col == col.min()]
+        if len(codes) == 1:
+            break
+    return codes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +363,13 @@ class _CanonicityTracker:
 
 
 class _Frame:
-    __slots__ = ("vertex", "combos", "next_idx", "batched", "ties", "strict")
+    __slots__ = ("vertex", "combos", "next_idx", "batched")
 
-    def __init__(self, vertex, combos, batched, ties, strict):
+    def __init__(self, vertex, combos, batched):
         self.vertex = vertex
         self.combos = combos
         self.next_idx = 0
         self.batched = batched  # a batch was applied to enter this frame
-        self.ties = ties
-        self.strict = strict
 
 
 def _smallest_dtype(types: tuple, bound: int):
@@ -487,13 +443,22 @@ class _SkeletonSearch:
         self.exhausted = False
         self.started = False
         self.policy = spec.effective_policy()
-        self.tracker: _CanonicityTracker | None = None
-        if (
-            self.policy == "lex"
-            and skeleton_group_order(skeleton.parts) <= spec.canonicity_cap
-        ):
-            self.tracker = _CanonicityTracker(_skeleton_autos(skeleton.parts))
+        self.use_group = (
+            skeleton_group_order(skeleton.parts) <= spec.canonicity_cap
+        )
+        self.orderly = self.policy == "lex" and self.use_group
+        self._autos: _np.ndarray | None = None
         self.stack: list[_Frame] = []
+
+    def least_image(self, edges) -> _np.ndarray | None:
+        """The least image of ``edges`` under the skeleton group (see
+        _least_image), or None when the group is larger than
+        canonicity_cap.  The group array is built on first use."""
+        if not self.use_group:
+            return None
+        if self._autos is None:
+            self._autos = _skeleton_autos(self.skeleton.parts)
+        return _least_image(self._autos, edges)
 
     # -- state mutation
 
@@ -610,9 +575,7 @@ class _SkeletonSearch:
         grow((), range(len(cands)), need)
         return out, _comb(len(cands), need) - len(out)
 
-    def _expand(
-        self, batched: bool, ties: list[int], strict: list[tuple[int, Pair]]
-    ) -> tuple[str, int]:
+    def _expand(self, batched: bool) -> tuple[str, int]:
         """Test the current state and push its frame.
 
         Returns ("pushed" | "infeasible" | "complete", girth-pruned
@@ -632,13 +595,12 @@ class _SkeletonSearch:
             return "infeasible", 0
         v = int(rows[0] if self.policy == "lex" else rows[least])
         combos, pruned = self._combos_for(v, deficient)
-        self.stack.append(_Frame(v, combos, batched, ties, strict))
+        self.stack.append(_Frame(v, combos, batched))
         return "pushed", pruned
 
     def _start(self) -> tuple[str, int]:
         """Expand the root, the bare skeleton (see _expand)."""
-        ties, strict = self.tracker.root() if self.tracker else ([], [])
-        return self._expand(False, ties, strict)
+        return self._expand(False)
 
     def _descend(
         self, frame: _Frame, combo: tuple[int, ...]
@@ -646,19 +608,15 @@ class _SkeletonSearch:
         """Complete the frame's vertex with ``combo`` and expand the
         child (see _expand).  None, with the batch undone, when the
         grown edge list is not least in its orbit under the skeleton
-        group."""
-        v = frame.vertex
-        self._add_batch(v, combo)
-        ties, strict = frame.ties, frame.strict
-        if self.tracker is not None:
-            res = self.tracker.child(
-                tuple(self.edges), tuple((v, u) for u in combo), ties, strict
-            )
-            if res is None:
+        group (lex policy, group within canonicity_cap)."""
+        self._add_batch(frame.vertex, combo)
+        if self.orderly:
+            n = self.n
+            least = self.least_image(self.edges).tolist()
+            if least != [a * n + b for a, b in self.edges]:
                 self._pop_batch()
                 return None
-            ties, strict = res
-        return self._expand(True, ties, strict)
+        return self._expand(True)
 
     def run(self, quota: float, deadline: float | None, stats: SearchStats,
             emit) -> tuple[str, int]:
@@ -792,18 +750,29 @@ def _visit(job: tuple) -> tuple:
     Only verified witnesses are kept: regular (r, 1) with girth exactly
     g.  In decide mode the first one ends the visit ("found"); in
     enumerate mode each comes with its canonical encoding, first
-    occurrence within the visit only.  Module level, so a process pool
-    can run it on a copy of the search.
+    occurrence within the visit only.  An enumerate emission whose least
+    image under the skeleton group was seen earlier in the visit is
+    isomorphic to an earlier emission, so it shares that one's girth and
+    class and is dropped before the girth check and canonical labeling.
+    Module level, so a process pool can run it on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
     stats = SearchStats()
     found: list[tuple[MixedGraph, bytes | None]] = []
+    orbits: set[bytes] = set()
     forms: set[bytes] = set()
 
     def emit(g: MixedGraph) -> bool:
         if degree_profile(g).regular != (spec.r, spec.z):
             return False
+        if spec.mode == "enumerate":
+            least = search.least_image(g.sorted_edges())
+            if least is not None:
+                orbit = least.tobytes()
+                if orbit in orbits:
+                    return False
+                orbits.add(orbit)
         if girth(g).girth != spec.g:
             return False
         if spec.mode == "decide":

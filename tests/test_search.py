@@ -1,7 +1,8 @@
+import dataclasses
 import functools
+import hashlib
 import itertools
 import json
-import random
 from math import comb
 
 import numpy as np
@@ -13,7 +14,9 @@ from mixedcages import (
     CheckpointError,
     InconclusiveError,
     SearchSpec,
+    SearchStats,
     arc_skeletons,
+    automorphism_group,
     canonical_form,
     degree_profile,
     determine_cage_number,
@@ -23,9 +26,10 @@ from mixedcages import (
     search_order,
     skeleton_group_order,
 )
+import mixedcages.search as search_module
 from mixedcages.search import (
-    _CanonicityTracker,
     _SkeletonSearch,
+    _least_image,
     _skeleton_autos,
 )
 
@@ -72,6 +76,43 @@ def test_skeleton_group_orders():
     assert len(_skeleton_autos(parts)) == skeleton_group_order(parts)
 
 
+def _skeleton_autos_reference(parts):
+    """Loop construction of the skeleton group: for each permutation of
+    equal-length cycles, each combination of cycle rotations."""
+    n = sum(parts)
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    classes = [[i for i, p in enumerate(parts) if p == length]
+               for length in sorted(set(parts))]
+    out = []
+    for assignment in itertools.product(
+            *[itertools.permutations(c) for c in classes]):
+        sigma = {}
+        for cls, mapped in zip(classes, assignment):
+            sigma.update(zip(cls, mapped))
+        for rots in itertools.product(*[range(p) for p in parts]):
+            img = [0] * n
+            for i, length in enumerate(parts):
+                for pos in range(length):
+                    img[starts[i] + pos] = (
+                        starts[sigma[i]] + (pos + rots[i]) % length
+                    )
+            out.append(img)
+    return out
+
+
+@pytest.mark.parametrize(
+    "parts", [(2,), (5, 3), (4, 4), (4, 4, 3), (3, 3, 3), (3, 3, 2, 2)]
+)
+def test_skeleton_autos_match_reference(parts):
+    autos = _skeleton_autos(parts)
+    assert autos.tolist() == _skeleton_autos_reference(parts)
+    assert autos.dtype == np.int8
+    arcs = set(next(s for s in arc_skeletons(sum(parts), 2)
+                    if s.parts == parts).arcs)
+    for gamma in autos.tolist():
+        assert {(gamma[a], gamma[b]) for a, b in arcs} == arcs
+
+
 def _is_lex_min_full(edges, autos):
     """Reference full scan: no skeleton automorphism maps the sorted
     edge list to a lexicographically smaller one."""
@@ -84,33 +125,31 @@ def _is_lex_min_full(edges, autos):
     return True
 
 
-def test_incremental_canonicity_matches_full_scan():
-    rng = random.Random(6)
-    parts = (4, 4)
-    autos = _skeleton_autos(parts)
-    tracker = _CanonicityTracker(autos)
-    for _ in range(200):
-        # random growing edge sequence in sorted batch order
-        pairs = sorted(
-            (i, j) for i in range(8) for j in range(i + 1, 8)
-        )
-        rng.shuffle(pairs)
-        state = tracker.root()
-        edges = []
-        clock = 0
-        for batch_size in (2, 2, 1):
-            remaining = sorted(p for p in pairs if not edges or p > edges[-1])
-            if len(remaining) < batch_size:
-                break
-            batch = tuple(sorted(rng.sample(remaining[:6], batch_size)))
-            edges = sorted(edges + list(batch))
-            res = tracker.child(tuple(edges), batch, *state)
-            full = _is_lex_min_full(tuple(edges), autos)
-            assert (res is not None) == full, (edges, batch)
-            if res is None:
-                break
-            state = res
-            clock += 1
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_least_image_matches_full_scan(data):
+    """On random sorted edge sets of every size: the orderly test (own
+    codes equal the least image) agrees with the full scan, the least
+    image is the least of all images, and every image of the set gets
+    the same least image."""
+    parts = data.draw(st.sampled_from([(4, 4), (4, 4, 3), (3, 3, 3), (5, 3)]))
+    n = sum(parts)
+    array = _skeleton_autos(parts)
+    autos = array.tolist()
+    pairs = list(itertools.combinations(range(n), 2))
+    size = data.draw(st.integers(0, len(pairs)), label="size")
+    edges = sorted(data.draw(st.permutations(pairs))[:size])
+    least = _least_image(array, edges).tolist()
+    assert (least == [a * n + b for a, b in edges]) == _is_lex_min_full(
+        edges, autos
+    )
+    images = [
+        sorted(tuple(sorted((gamma[a], gamma[b]))) for a, b in edges)
+        for gamma in autos
+    ]
+    assert least == [a * n + b for a, b in min(images)]
+    for image in images:
+        assert _least_image(array, image).tolist() == least
 
 
 def naive_enumerate(n, r, g):
@@ -180,6 +219,17 @@ def test_exhausted_is_a_nonexistence_proof():
     out = search_order(SearchSpec(r=2, g=4, n=5, mode="enumerate"))
     assert out.status == "exhausted"
     assert naive_enumerate(5, 2, 4) == set()
+
+
+@pytest.mark.parametrize("field", ["rotation_quantum", "canonicity_cap"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_spec_rejects_non_positive_quantum_and_cap(monkeypatch, field, value):
+    """A rotation quantum of 0 used to pause every visit at once and
+    loop forever; both fields are rejected before any search runs."""
+    # a spec that got through would fail here with a TypeError, not hang
+    monkeypatch.setattr(search_module, "arc_skeletons", None)
+    with pytest.raises(ValueError, match=field.replace("_", " ")):
+        search_order(SearchSpec(r=3, g=4, n=10, **{field: value}))
 
 
 def test_spec_validation():
@@ -630,8 +680,6 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
     """Replaying a mid-run checkpoint rebuilds, skeleton by skeleton, the
     distances, free pairs, degrees and frames that the interrupted run
     held at the same node."""
-    import mixedcages.search as search_module
-
     live = []
 
     class Recording(_SkeletonSearch):
@@ -659,6 +707,112 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
         assert [(f.vertex, f.next_idx, f.combos) for f in fresh.stack] == [
             (f.vertex, f.next_idx, f.combos) for f in run.stack
         ]
+
+
+def _witness_digest(witnesses):
+    payload = json.dumps([[list(e) for e in w.sorted_edges()]
+                          for w in witnesses])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+# sha256 of the (3,1,4)@12 witness edge lists, in order, recorded before
+# emissions were deduplicated by their least image under the skeleton group
+PINNED_WITNESSES = {
+    "focus": "23cf57b594befc0099e25518f0f66a6833edd54d01963538bfba23a8b9e4459d",
+    "lex": "53d82a687233631e2dd7e63216fa864e09987ba4788b1b94ac576a0b1a1d39e7",
+}
+PINNED_STATS = {
+    "focus": SearchStats(nodes=6121, girth_prunes=2065, canonicity_prunes=0,
+                         infeasible_prunes=925),
+    "lex": SearchStats(nodes=1509, girth_prunes=687, canonicity_prunes=366,
+                       infeasible_prunes=462),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_WITNESSES))
+def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
+    """Witnesses keep their edge lists and order, and the tree its
+    statistics; each class is labeled canonically once; without the
+    group array (cap 1) the witnesses are the same, and so are the
+    statistics of the focus tree, which rejects no isomorphs."""
+    labeled = []
+
+    def spy(g):
+        labeled.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(search_module, "canonical_form", spy)
+    spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy)
+    out = search_order(spec)
+    assert _witness_digest(out.witnesses) == PINNED_WITNESSES[policy]
+    assert out.stats == PINNED_STATS[policy]
+    assert len(out.witnesses) == 29
+    assert len(labeled) == 29
+    labeled.clear()
+    plain = search_order(dataclasses.replace(spec, canonicity_cap=1))
+    assert _witness_digest(plain.witnesses) == PINNED_WITNESSES[policy]
+    assert len(labeled) == 724
+    if policy == "focus":
+        assert plain.stats == out.stats
+
+
+def _completions_by_class(spec, skeleton):
+    """Every verified completion the unpruned search reaches in one
+    skeleton, counted by canonical encoding, with one graph per class."""
+    counts, graphs = {}, {}
+
+    def emit(g):
+        if (degree_profile(g).regular == (spec.r, 1)
+                and girth(g).girth == spec.g):
+            enc = canonical_form(g).encoding
+            counts[enc] = counts.get(enc, 0) + 1
+            graphs.setdefault(enc, g)
+        return False
+
+    stats = SearchStats()
+    status, _ = _SkeletonSearch(spec, skeleton).run(
+        float("inf"), None, stats, emit
+    )
+    assert status == "exhausted"
+    return counts, graphs, stats
+
+
+def _check_orbit_counts(spec, skeleton):
+    """In each skeleton, a class with automorphism group A has exactly
+    |G_skel| / |A| labeled completions: A is a subgroup of the group of
+    the arc digraph, G_skel, and the completions of the class are one
+    orbit of G_skel.  Returns the labeled count and the class count."""
+    counts, graphs, stats = _completions_by_class(spec, skeleton)
+    group = skeleton_group_order(skeleton.parts)
+    for enc, labeled in counts.items():
+        aut = automorphism_group(graphs[enc]).order
+        assert group % aut == 0
+        assert labeled == group // aut, (skeleton.parts, labeled, group, aut)
+    return sum(counts.values()), len(counts), stats
+
+
+@pytest.mark.parametrize(
+    "r,g,n,labeled,classes",
+    [(3, 4, 12, 724, 29), (3, 3, 8, 753, 75), (2, 4, 10, 65, 10),
+     (3, 4, 10, 3, 2)],
+)
+def test_labeled_completions_double_count_classes(r, g, n, labeled, classes):
+    """Per skeleton, the labeled verified completions of the unpruned
+    focus tree equal the sum over classes of |G_skel| / |Aut(class)|."""
+    spec = SearchSpec(r=r, g=g, n=n, mode="enumerate", branch_policy="focus")
+    total = [_check_orbit_counts(spec, sk)[:2] for sk in arc_skeletons(n, g)]
+    assert sum(t[0] for t in total) == labeled
+    assert sum(t[1] for t in total) == classes
+
+
+def test_order_30_skeleton_double_counts_the_cage():
+    """Skeleton (10,10,10) of (3,1,6)@30 holds the order-30 cage's whole
+    orbit: 300 = 6000 / 20 labeled completions, one class."""
+    spec = SearchSpec(r=3, g=6, n=30, mode="enumerate", branch_policy="focus")
+    skeleton = next(s for s in arc_skeletons(30, 6) if s.parts == (10, 10, 10))
+    labeled, classes, stats = _check_orbit_counts(spec, skeleton)
+    assert (labeled, classes) == (300, 1)
+    assert stats.nodes == 35_468
 
 
 @pytest.mark.skipif(
