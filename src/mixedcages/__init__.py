@@ -27,7 +27,6 @@ from .girth import (
     GirthResult,
     girth,
     girth_bruteforce,
-    has_girth_at_least,
     validate_witness,
 )
 from .graphs import (

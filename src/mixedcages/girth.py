@@ -92,43 +92,10 @@ def girth(g: MixedGraph) -> GirthResult:
     two = _shortest_two_cycle(g)
     if two is not None:
         return GirthResult(2, two)
-    w = _shortest_cycle(g, max_len=g.n)
+    w = _shortest_cycle(g)
     if w is None:
         return GirthResult(None, None)
     return GirthResult(w.length, w)
-
-
-def has_girth_at_least(
-    g: MixedGraph,
-    target: int,
-    new_edge: Pair | None = None,
-    new_arc: Pair | None = None,
-) -> tuple[bool, CycleWitness | None]:
-    """True iff girth(g) >= target; otherwise a violating witness.
-
-    Incremental use: pass ``new_edge`` or ``new_arc`` (already present
-    in ``g``) to check only cycles through that incidence.  This is
-    equivalent to a full recomputation whenever the graph without the
-    new incidence already had girth >= target, which is how a growing
-    search uses it.
-    """
-    if target <= 1:
-        return True, None
-    starts: list[tuple[str, int, int]] | None = None
-    if new_edge is not None:
-        u, v = new_edge
-        if not g.has_edge(u, v):
-            raise GraphError(f"new_edge {{{u},{v}}} not present in graph")
-        starts = [(EDGE, u, v), (EDGE, v, u)]
-    elif new_arc is not None:
-        u, v = new_arc
-        if not g.has_arc(u, v):
-            raise GraphError(f"new_arc ({u},{v}) not present in graph")
-        starts = [(ARC, u, v)]
-    w = _shortest_cycle(g, max_len=target - 1, starts=starts)
-    if w is None:
-        return True, None
-    return False, w
 
 
 def girth_bruteforce(g: MixedGraph, max_len: int | None = None) -> GirthResult:
@@ -205,20 +172,15 @@ def _shortest_two_cycle(g: MixedGraph) -> CycleWitness | None:
     return CycleWitness((a, b, a), (first, second))
 
 
-def _shortest_cycle(
-    g: MixedGraph,
-    max_len: int,
-    starts: list[tuple[str, int, int]] | None = None,
-) -> CycleWitness | None:
-    """Shortest cycle of length <= max_len, restricted to given starting
-    incidences if provided.  Deterministic: starting steps are scanned
-    in sorted order and BFS visits neighbors in ascending order."""
-    if starts is None:
-        starts = [(ARC, u, v) for u, v in g.arcs]
-        for u, v in g.edges:
-            starts.append((EDGE, u, v))
-            starts.append((EDGE, v, u))
-    starts = sorted(starts, key=lambda t: (t[1], t[2], t[0] != ARC))
+def _shortest_cycle(g: MixedGraph) -> CycleWitness | None:
+    """Shortest cycle through any incidence, or None when acyclic.
+    Deterministic: starting steps are scanned in sorted order and BFS
+    visits neighbors in ascending order."""
+    starts = [(ARC, u, v) for u, v in g.arcs]
+    for u, v in g.edges:
+        starts.append((EDGE, u, v))
+        starts.append((EDGE, v, u))
+    starts.sort(key=lambda t: (t[1], t[2], t[0] != ARC))
     options = [
         sorted(
             [(w, ARC) for w in g.out_neighbors[x]]
@@ -229,7 +191,7 @@ def _shortest_cycle(
     ]
     best: CycleWitness | None = None
     for kind0, u, v in starts:
-        limit = max_len if best is None else best.length - 1
+        limit = g.n if best is None else best.length - 1
         if limit < 2:
             break
         found = _bfs_path(options, v, u, kind0 == EDGE, limit - 1)

@@ -52,7 +52,7 @@ a small checkpoint and the resumed run reproduces identical statistics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations, product
 from math import comb as _comb
 
@@ -66,6 +66,8 @@ from .isomorphism import canonical_form
 
 CHECKPOINT_FORMAT = "mixedcages-checkpoint"
 CHECKPOINT_VERSION = 1
+# decide-mode nodes per skeleton visit; checkpoints record it
+ROTATION_QUANTUM = 1_000
 
 _INF = float("inf")
 
@@ -88,35 +90,34 @@ class InconclusiveError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Parameters for one fixed-order search.
+    """Parameters for one fixed-order search of (r,1,g)-graphs; the
+    out-degree z is fixed at 1.
 
     ``mode`` is "decide" (stop at the first witness) or "enumerate"
     (all witnesses up to isomorphism).  Node budgets are deterministic;
     wall-clock budgets are best effort.  In decide mode skeletons are
-    served round-robin in quanta of ``rotation_quantum`` nodes so a
-    witness-free skeleton cannot stall the verdict; enumerate mode
-    exhausts skeletons in order.  ``canonicity_cap`` bounds the order of
-    the skeleton automorphism groups kept as an array of group elements;
-    that array serves the orderly rejection of "lex" searches and the
-    deduplication of enumerate emissions.  A skeleton with a larger group
-    runs without interior rejection and labels every emission
-    canonically; a cap of 1 keeps no array for any skeleton.
+    served round-robin in quanta of ROTATION_QUANTUM nodes so a
+    witness-free skeleton cannot stall the verdict; checkpoints record
+    the constant (and z), so changing it makes old checkpoints mismatch.
+    Enumerate mode exhausts skeletons in order.  ``canonicity_cap``
+    bounds the order of the skeleton automorphism groups kept as an
+    array of group elements; that array serves the orderly rejection of
+    "lex" searches and the deduplication of enumerate emissions.  A
+    skeleton with a larger group runs without interior rejection and
+    labels every emission canonically; a cap of 1 keeps no array for
+    any skeleton.
     """
 
     r: int
     g: int
     n: int
-    z: int = 1
     mode: str = "decide"
     node_budget: int | None = None
     time_budget: float | None = None
-    rotation_quantum: int = 1_000
     canonicity_cap: int = 100_000
     branch_policy: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.z != 1:
-            raise ValueError("search supports out-degree z = 1 only")
         if self.r < 1:
             raise ValueError(f"edge-degree must be >= 1, got {self.r}")
         if self.g < 1:
@@ -127,10 +128,6 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.branch_policy not in ("auto", "lex", "focus"):
             raise ValueError(f"unknown branch policy {self.branch_policy!r}")
-        if self.rotation_quantum < 1:
-            raise ValueError(
-                f"rotation quantum must be >= 1, got {self.rotation_quantum}"
-            )
         if self.canonicity_cap < 1:
             raise ValueError(
                 f"canonicity cap must be >= 1, got {self.canonicity_cap}"
@@ -153,9 +150,9 @@ class SearchSpec:
     def key(self) -> dict:
         """Fields a checkpoint must match to be resumable: anything that
         shapes the search tree or the rotation schedule."""
-        return {"r": self.r, "g": self.g, "n": self.n, "z": self.z,
+        return {"r": self.r, "g": self.g, "n": self.n, "z": 1,
                 "mode": self.mode, "policy": self.effective_policy(),
-                "rotation_quantum": self.rotation_quantum,
+                "rotation_quantum": ROTATION_QUANTUM,
                 "canonicity_cap": self.canonicity_cap}
 
 
@@ -167,27 +164,25 @@ class SearchStats:
     infeasible_prunes: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "nodes": self.nodes,
-            "girth_prunes": self.girth_prunes,
-            "canonicity_prunes": self.canonicity_prunes,
-            "infeasible_prunes": self.infeasible_prunes,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def from_dict(d: dict) -> SearchStats:
-        return SearchStats(
-            nodes=d["nodes"],
-            girth_prunes=d["girth_prunes"],
-            canonicity_prunes=d["canonicity_prunes"],
-            infeasible_prunes=d["infeasible_prunes"],
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> SearchStats:
+        """Counts written by as_dict.  Raises CheckpointError unless every
+        count is present and a non-negative int (a bool is not)."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or any(
+            type(d.get(k)) is not int or d[k] < 0 for k in names
+        ):
+            raise CheckpointError(
+                f"stats {d!r} are not non-negative integer counts"
+            )
+        return cls(**{k: d[k] for k in names})
 
     def add(self, other: SearchStats) -> None:
-        self.nodes += other.nodes
-        self.girth_prunes += other.girth_prunes
-        self.canonicity_prunes += other.canonicity_prunes
-        self.infeasible_prunes += other.infeasible_prunes
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -363,13 +358,12 @@ def _least_image(autos: _np.ndarray, edges) -> _np.ndarray:
 
 
 class _Frame:
-    __slots__ = ("vertex", "combos", "next_idx", "batched")
+    __slots__ = ("vertex", "combos", "next_idx")
 
-    def __init__(self, vertex, combos, batched):
+    def __init__(self, vertex, combos):
         self.vertex = vertex
         self.combos = combos
         self.next_idx = 0
-        self.batched = batched  # a batch was applied to enter this frame
 
 
 def _smallest_dtype(types: tuple, bound: int):
@@ -498,14 +492,12 @@ class _SkeletonSearch:
     # -- search proper
 
     def _slack(
-        self, deficient: _np.ndarray | None = None
+        self, deficient: _np.ndarray
     ) -> tuple[_np.ndarray, _np.ndarray]:
         """Deficient vertices, and for each the number of deficient
         partners it could still take at girth-compatible distance minus
         its remaining demand.  ``deficient`` is the mask ``deg < r``."""
         r = self.spec.r
-        if deficient is None:
-            deficient = self.deg < r
         # the product sums in the wider dtype, the one that holds n
         counts = self.free.view(_np.uint8) @ deficient.astype(
             self._count_dtype
@@ -513,21 +505,18 @@ class _SkeletonSearch:
         rows = deficient.nonzero()[0]
         return rows, (counts + self.deg)[rows] - r
 
-    def _candidates(
-        self, v: int, deficient: _np.ndarray | None = None
-    ) -> _np.ndarray:
-        """Partners that can take an edge to v without closing a cycle
-        shorter than g (single-edge criterion, exact).  Under "lex" the
-        completion order restricts partners to u > v."""
-        if deficient is None:
-            deficient = self.deg < self.spec.r
+    def _candidates(self, v: int, deficient: _np.ndarray) -> _np.ndarray:
+        """Deficient partners (``deficient`` is the mask ``deg < r``) that
+        can take an edge to v without closing a cycle shorter than g
+        (single-edge criterion, exact).  Under "lex" the completion order
+        restricts partners to u > v."""
         ok = self.free[v] & deficient
         if self.policy == "lex":
             ok[: v + 1] = False
         return ok.nonzero()[0]
 
     def _combos_for(
-        self, v: int, deficient: _np.ndarray | None = None
+        self, v: int, deficient: _np.ndarray
     ) -> tuple[list[tuple[int, ...]], int]:
         """Sorted partner combinations for completing vertex v, plus the
         count of raw combinations eliminated by girth constraints.
@@ -575,7 +564,7 @@ class _SkeletonSearch:
         grow((), range(len(cands)), need)
         return out, _comb(len(cands), need) - len(out)
 
-    def _expand(self, batched: bool) -> tuple[str, int]:
+    def _expand(self) -> tuple[str, int]:
         """Test the current state and push its frame.
 
         Returns ("pushed" | "infeasible" | "complete", girth-pruned
@@ -595,12 +584,8 @@ class _SkeletonSearch:
             return "infeasible", 0
         v = int(rows[0] if self.policy == "lex" else rows[least])
         combos, pruned = self._combos_for(v, deficient)
-        self.stack.append(_Frame(v, combos, batched))
+        self.stack.append(_Frame(v, combos))
         return "pushed", pruned
-
-    def _start(self) -> tuple[str, int]:
-        """Expand the root, the bare skeleton (see _expand)."""
-        return self._expand(False)
 
     def _descend(
         self, frame: _Frame, combo: tuple[int, ...]
@@ -616,29 +601,30 @@ class _SkeletonSearch:
             if least != [a * n + b for a, b in self.edges]:
                 self._pop_batch()
                 return None
-        return self._expand(True)
+        return self._expand()
 
     def run(self, quota: float, deadline: float | None, stats: SearchStats,
             emit) -> tuple[str, int]:
         """Advance until the node quota or deadline is consumed, the
         emit callback accepts a complete graph (decide), or the skeleton
         is exhausted.  Returns ("found" | "paused" | "exhausted",
-        nodes consumed this visit)."""
+        nodes consumed this visit).
+
+        The first visit expands the root, the bare skeleton, which costs
+        no node.  It is never complete, since every vertex lacks all r
+        edges; when it is infeasible nothing is pushed and the skeleton
+        is exhausted at once.  Every other frame was entered by applying
+        a batch, so popping a frame undoes a batch exactly when a frame
+        stays below it."""
         if self.exhausted:
             return "exhausted", 0
         used = 0
         if not self.started:
             self.started = True
-            state, pruned = self._start()
+            state, pruned = self._expand()
             stats.girth_prunes += pruned
             if state == "infeasible":
                 stats.infeasible_prunes += 1
-                self.exhausted = True
-                return "exhausted", used
-            if state == "complete":
-                done = emit(self._graph())
-                self.exhausted = True
-                return ("found" if done else "exhausted"), used
         while self.stack:
             if used >= quota:
                 return "paused", used
@@ -647,7 +633,7 @@ class _SkeletonSearch:
             frame = self.stack[-1]
             if frame.next_idx >= len(frame.combos):
                 self.stack.pop()
-                if frame.batched:
+                if self.stack:
                     self._pop_batch()
                 continue
             combo = frame.combos[frame.next_idx]
@@ -710,7 +696,7 @@ class _SkeletonSearch:
                 f"path of skeleton {list(parts)} must be a non-empty "
                 "list of integers"
             )
-        expanded, _ = self._start()
+        expanded, _ = self._expand()
         for depth, next_idx in enumerate(path):
             if expanded != "pushed":
                 raise CheckpointError(
@@ -749,22 +735,23 @@ def _visit(job: tuple) -> tuple:
 
     Only verified witnesses are kept: regular (r, 1) with girth exactly
     g.  In decide mode the first one ends the visit ("found"); in
-    enumerate mode each comes with its canonical encoding, first
-    occurrence within the visit only.  An enumerate emission whose least
-    image under the skeleton group was seen earlier in the visit is
-    isomorphic to an earlier emission, so it shares that one's girth and
-    class and is dropped before the girth check and canonical labeling.
-    Module level, so a process pool can run it on a copy of the search.
+    enumerate mode each comes with its canonical encoding, which the
+    driver dedupes against every class seen so far.  An enumerate
+    emission whose least image under the skeleton group was seen earlier
+    in the visit is isomorphic to an earlier emission, so it shares that
+    one's girth and class and is dropped before the girth check and
+    canonical labeling; a skeleton whose group exceeds canonicity_cap
+    keeps every emission that passes.  Module level, so a process pool
+    can run it on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
     stats = SearchStats()
     found: list[tuple[MixedGraph, bytes | None]] = []
     orbits: set[bytes] = set()
-    forms: set[bytes] = set()
 
     def emit(g: MixedGraph) -> bool:
-        if degree_profile(g).regular != (spec.r, spec.z):
+        if degree_profile(g).regular != (spec.r, 1):
             return False
         if spec.mode == "enumerate":
             least = search.least_image(g.sorted_edges())
@@ -778,10 +765,7 @@ def _visit(job: tuple) -> tuple:
         if spec.mode == "decide":
             found.append((g, None))
             return True
-        enc = canonical_form(g).encoding
-        if enc not in forms:
-            forms.add(enc)
-            found.append((g, enc))
+        found.append((g, canonical_form(g).encoding))
         return False
 
     status, used = search.run(quota, deadline, stats, emit)
@@ -822,8 +806,8 @@ def search_order(
     visit_quota_left: float | None = None
     if checkpoint is not None:
         _validate_checkpoint(spec, checkpoint, len(searches))
+        stats = SearchStats.from_dict(checkpoint["stats"])
         try:
-            stats = SearchStats.from_dict(checkpoint["stats"])
             witnesses = [graph_from_payload(p) for p in checkpoint["witnesses"]]
             seen_forms = {bytes.fromhex(h) for h in checkpoint["seen_forms"]}
         except (KeyError, TypeError, ValueError) as exc:
@@ -836,7 +820,7 @@ def search_order(
     deadline = None
     if spec.time_budget is not None:
         deadline = time.monotonic() + spec.time_budget
-    quantum: float = spec.rotation_quantum if spec.mode == "decide" else _INF
+    quantum: float = ROTATION_QUANTUM if spec.mode == "decide" else _INF
 
     def budget_left() -> float:
         if spec.node_budget is None:

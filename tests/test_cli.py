@@ -353,8 +353,17 @@ def _corrupted_checkpoint(tmp_path, corrupt):
         lambda state, active: active["path"].__setitem__(0, 10_000),
         lambda state, active: state["skeletons"][0].__setitem__(
             "parts", [6, 6]),
+        # counts that would crash the resume or be trusted into its stats
+        lambda state, active: state["stats"].__setitem__("nodes", "500"),
+        lambda state, active: state["stats"].__setitem__(
+            "nodes", -1_000_000_000),
+        lambda state, active: state["stats"].__setitem__(
+            "girth_prunes", 1.5),
+        lambda state, active: state["stats"].__setitem__(
+            "canonicity_prunes", True),
     ],
-    ids=["path-index", "parts"],
+    ids=["path-index", "parts", "stats-string", "stats-negative",
+         "stats-float", "stats-bool"],
 )
 def test_corrupt_checkpoint_is_io_error(tmp_path, corrupt):
     cp = _corrupted_checkpoint(tmp_path, corrupt)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,22 +222,40 @@ def test_exhausted_is_a_nonexistence_proof():
     assert naive_enumerate(5, 2, 4) == set()
 
 
-@pytest.mark.parametrize("field", ["rotation_quantum", "canonicity_cap"])
+@pytest.mark.parametrize("field", ["canonicity_cap"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_spec_rejects_non_positive_quantum_and_cap(monkeypatch, field, value):
-    """A rotation quantum of 0 used to pause every visit at once and
-    loop forever; both fields are rejected before any search runs."""
+    """A non-positive cap is rejected before any search runs."""
     # a spec that got through would fail here with a TypeError, not hang
     monkeypatch.setattr(search_module, "arc_skeletons", None)
     with pytest.raises(ValueError, match=field.replace("_", " ")):
         search_order(SearchSpec(r=3, g=4, n=10, **{field: value}))
 
 
+@pytest.mark.parametrize("mode", ["decide", "enumerate"])
+@pytest.mark.parametrize(
+    "r, g, n, pruned",
+    [
+        # every root is infeasible: no vertex finds four partners
+        (4, 3, 6, {"infeasible_prunes": 2}),
+        # every root combination closes a short cycle
+        (3, 4, 8, {"girth_prunes": 5}),
+    ],
+)
+def test_root_only_trees(mode, r, g, n, pruned):
+    """Skeletons decided at the root count their prunes but no node."""
+    out = search_order(SearchSpec(r=r, g=g, n=n, mode=mode))
+    assert out.status == "exhausted" and not out.witnesses
+    expected = {"nodes": 0, "girth_prunes": 0, "canonicity_prunes": 0,
+                "infeasible_prunes": 0, **pruned}
+    assert out.stats.as_dict() == expected
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(r=3, g=6, n=5)  # n below girth
-    with pytest.raises(ValueError):
-        SearchSpec(r=3, g=6, n=30, z=2)
+    with pytest.raises(TypeError):
+        SearchSpec(r=3, g=6, n=30, z=2)  # out-degree is fixed at 1
     with pytest.raises(ValueError):
         SearchSpec(r=0, g=3, n=4)
     with pytest.raises(ValueError):
@@ -414,15 +433,24 @@ def test_time_budget_checkpoints():
 
 
 def test_decide_checkpoint_resume_matches_uninterrupted():
+    """The checkpoint format is pinned: the cut writes, as the CLI does,
+    the same JSON as the committed file, apart from the package version
+    (provenance only), and that file resumes to the uninterrupted
+    statistics.  Its spec key records z = 1 and ROTATION_QUANTUM,
+    constants of the search."""
+    golden = (Path(__file__).resolve().parent / "golden"
+              / "3-5-20-focus.checkpoint.json").read_text(encoding="ascii")
+    recorded = json.loads(golden)
     spec = SearchSpec(r=3, g=5, n=20, mode="decide", branch_policy="focus")
     cut = search_order(
         SearchSpec(r=3, g=5, n=20, mode="decide", branch_policy="focus",
                    node_budget=3000)
     )
     assert cut.status == "budget_exceeded"
-    resumed = search_order(
-        spec, checkpoint=json.loads(json.dumps(cut.checkpoint))
-    )
+    written = {**cut.checkpoint,
+               "package_version": recorded["package_version"]}
+    assert json.dumps(written) == golden
+    resumed = search_order(spec, checkpoint=recorded)
     assert resumed.status == "exhausted" and not resumed.witnesses
     assert resumed.stats.as_dict() == {
         "nodes": 9688, "girth_prunes": 8919,
@@ -596,14 +624,15 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
     slack = [
         sum(1 for y in rows if free[x, y]) - (r - deg[x]) for x in rows
     ]
-    got_rows, got_slack = search._slack()
+    deficient = search.deg < r
+    got_rows, got_slack = search._slack(deficient)
     assert got_rows.tolist() == rows and got_slack.tolist() == slack
     for x in rows:
         floor = x if search.spec.effective_policy() == "lex" else -1
         cands = [y for y in rows if free[x, y] and y > floor]
-        assert search._candidates(x).tolist() == cands
+        assert search._candidates(x, deficient).tolist() == cands
         if combos:
-            assert search._combos_for(x) == _reference_combos(
+            assert search._combos_for(x, deficient) == _reference_combos(
                 search, trans, x, cands
             )
 
