@@ -16,7 +16,9 @@ the start edge is the only non-reuse constraint that can bind: in a
 vertex-distinct cycle of length >= 3 no incidence can repeat anywhere
 else.  Each call builds every vertex's sorted (neighbor, kind) steps
 once and shares them among its breadth-first searches, one per
-starting incidence, which keep their parents in a list.
+starting incidence, which keep their parents in a list.  2-cycles come
+from the same searches, which find their return step at the first
+level.
 `girth_bruteforce` is an independent oracle that enumerates vertex
 sequences against the definition literally.
 """
@@ -89,9 +91,6 @@ def validate_witness(g: MixedGraph, w: CycleWitness) -> None:
 
 def girth(g: MixedGraph) -> GirthResult:
     """Shortest cycle length and witness, or girth None when acyclic."""
-    two = _shortest_two_cycle(g)
-    if two is not None:
-        return GirthResult(2, two)
     w = _shortest_cycle(g)
     if w is None:
         return GirthResult(None, None)
@@ -156,20 +155,6 @@ def girth_bruteforce(g: MixedGraph, max_len: int | None = None) -> GirthResult:
     if cap >= g.n:
         return GirthResult(None, None)
     raise CapExceededError(f"no cycle of length <= {cap} found; longer ones unexplored")
-
-
-def _shortest_two_cycle(g: MixedGraph) -> CycleWitness | None:
-    """Direct scan for 2-cycles; returns the lexicographically first."""
-    pairs = set()
-    for u, v in g.arcs:
-        if (v, u) in g.arcs or _normalize_edge(u, v) in g.edges:
-            pairs.add(_normalize_edge(u, v))
-    if not pairs:
-        return None
-    a, b = min(pairs)
-    first = ARC if g.has_arc(a, b) else EDGE
-    second = ARC if g.has_arc(b, a) else EDGE
-    return CycleWitness((a, b, a), (first, second))
 
 
 def _shortest_cycle(g: MixedGraph) -> CycleWitness | None:

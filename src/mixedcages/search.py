@@ -21,17 +21,17 @@ filtering for cycles through new edges, read from a capped directed
 distance matrix that each completed vertex updates once for its whole
 batch of new edges and backtracking restores from an undo stack;
 degree-demand feasibility against the partners still joinable at
-girth-compatible distance, read from a matrix of free pairs kept by the
-same update; and a parity cut.  Each node counts the free deficient
-partners of every vertex with one integer matrix-vector product, which
-serves the feasibility cut and the fail-first choice alike.  The
-distance matrix holds the narrowest signed integers its update sums
-fit (int8 up to girth 64), and the counts the narrowest unsigned
-integers that hold the order (uint8 up to order 255).
+girth-compatible distance, whose matrix of free pairs each node derives
+from the distances; and a parity cut.  Each node counts the free
+deficient partners of every vertex with one integer matrix-vector
+product, which serves the feasibility cut and the fail-first choice
+alike.  The distance matrix holds the narrowest signed integers its
+update sums fit (int8 up to girth 64), and the counts the narrowest
+unsigned integers that hold the order (uint8 up to order 255).
 
 The skeleton group is one integer array of vertex images, built when a
-skeleton first needs it and only when its order is within the spec's
-``canonicity_cap``.  Mapping an edge list through every element at once
+skeleton first needs it and only when its order is within
+``CANONICITY_CAP``.  Mapping an edge list through every element at once
 gives the least image of its orbit, which decides the orderly test and
 keys the deduplication of enumerate emissions: two completions of one
 skeleton are isomorphic exactly when a skeleton automorphism maps one
@@ -68,6 +68,8 @@ CHECKPOINT_FORMAT = "mixedcages-checkpoint"
 CHECKPOINT_VERSION = 1
 # decide-mode nodes per skeleton visit; checkpoints record it
 ROTATION_QUANTUM = 1_000
+# largest skeleton group kept as an array of elements; checkpoints record it
+CANONICITY_CAP = 100_000
 
 _INF = float("inf")
 
@@ -97,15 +99,14 @@ class SearchSpec:
     (all witnesses up to isomorphism).  Node budgets are deterministic;
     wall-clock budgets are best effort.  In decide mode skeletons are
     served round-robin in quanta of ROTATION_QUANTUM nodes so a
-    witness-free skeleton cannot stall the verdict; checkpoints record
-    the constant (and z), so changing it makes old checkpoints mismatch.
-    Enumerate mode exhausts skeletons in order.  ``canonicity_cap``
-    bounds the order of the skeleton automorphism groups kept as an
-    array of group elements; that array serves the orderly rejection of
-    "lex" searches and the deduplication of enumerate emissions.  A
-    skeleton with a larger group runs without interior rejection and
-    labels every emission canonically; a cap of 1 keeps no array for
-    any skeleton.
+    witness-free skeleton cannot stall the verdict.  Enumerate mode
+    exhausts skeletons in order.  CANONICITY_CAP bounds the order of the
+    skeleton automorphism groups kept as an array of group elements;
+    that array serves the orderly rejection of "lex" searches and the
+    deduplication of enumerate emissions.  A skeleton with a larger
+    group runs without interior rejection and labels every emission
+    canonically.  Checkpoints record both constants (and z), so
+    changing one makes old checkpoints mismatch.
     """
 
     r: int
@@ -114,7 +115,6 @@ class SearchSpec:
     mode: str = "decide"
     node_budget: int | None = None
     time_budget: float | None = None
-    canonicity_cap: int = 100_000
     branch_policy: str = "auto"
 
     def __post_init__(self) -> None:
@@ -128,10 +128,6 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.branch_policy not in ("auto", "lex", "focus"):
             raise ValueError(f"unknown branch policy {self.branch_policy!r}")
-        if self.canonicity_cap < 1:
-            raise ValueError(
-                f"canonicity cap must be >= 1, got {self.canonicity_cap}"
-            )
 
     def effective_policy(self) -> str:
         """Vertex-selection policy.
@@ -153,7 +149,7 @@ class SearchSpec:
         return {"r": self.r, "g": self.g, "n": self.n, "z": 1,
                 "mode": self.mode, "policy": self.effective_policy(),
                 "rotation_quantum": ROTATION_QUANTUM,
-                "canonicity_cap": self.canonicity_cap}
+                "canonicity_cap": CANONICITY_CAP}
 
 
 @dataclass
@@ -392,9 +388,10 @@ class _SkeletonSearch:
 
     ``dist[a, b]`` is the length of a shortest mixed path from a to b
     (arcs forward, edges either way), capped at g-1: the girth filters
-    only ask whether a distance is at most g-2 or g-3.  ``free[x, y]``
-    says an edge {x, y} could still be added: x != y, x and y are not
-    adjacent, and no path of length <= g-2 joins them either way.
+    only ask whether a distance is at most g-2 or g-3.  An edge {x, y}
+    could still be added when x != y, x and y are not adjacent, and no
+    path of length <= g-2 joins them either way; _free_pairs derives
+    that matrix from ``dist`` once per node.
 
     Every edge of a batch meets the vertex v it completes.  A shortest
     path passes v at most once, so it uses at most two new edges, and
@@ -403,9 +400,8 @@ class _SkeletonSearch:
     ``from_v[b] = min(dist[v, b], min_u dist[u, b] + 1)`` over the
     partners u, and every other distance is
     ``min(dist[a, b], to_v[a] + from_v[b])``: one outer sum per batch.
-    Capped inputs give exact sums below the cap.  The same sum clears
-    the pairs of ``free`` it brings near.  One undo entry per batch keeps
-    the replaced matrices.
+    Capped inputs give exact sums below the cap.  One undo entry per
+    batch keeps the replaced matrix.
 
     Each node computes the mask of deficient vertices once and counts
     every vertex's free deficient partners with one integer
@@ -428,9 +424,6 @@ class _SkeletonSearch:
         self._count_dtype = _smallest_dtype(
             (_np.uint8, _np.uint16, _np.uint32, _np.uint64), n
         )
-        near = self.dist < self.cap
-        self.free = ~(near | near.T)
-        _np.fill_diagonal(self.free, False)
         self._undo: list[tuple] = []
         self.deg = _np.zeros(n, dtype=_np.int32)
         self.edges: list[Pair] = []  # under "lex" policy: stays sorted
@@ -438,7 +431,7 @@ class _SkeletonSearch:
         self.started = False
         self.policy = spec.effective_policy()
         self.use_group = (
-            skeleton_group_order(skeleton.parts) <= spec.canonicity_cap
+            skeleton_group_order(skeleton.parts) <= CANONICITY_CAP
         )
         self.orderly = self.policy == "lex" and self.use_group
         self._autos: _np.ndarray | None = None
@@ -447,7 +440,7 @@ class _SkeletonSearch:
     def least_image(self, edges) -> _np.ndarray | None:
         """The least image of ``edges`` under the skeleton group (see
         _least_image), or None when the group is larger than
-        canonicity_cap.  The group array is built on first use."""
+        CANONICITY_CAP.  The group array is built on first use."""
         if not self.use_group:
             return None
         if self._autos is None:
@@ -468,21 +461,16 @@ class _SkeletonSearch:
         _np.minimum(to_v, d[:, v], out=to_v)
         _np.minimum(from_v, d[v], out=from_v)
         via = to_v[:, None] + from_v
-        far = via >= self.cap
-        self._undo.append((d, self.free, v, partners))
+        self._undo.append((d, v, partners))
         self.dist = _np.minimum(d, via, out=via)
-        free = self.free & far
-        free &= far.T
         deg = self.deg
         for u in partners:
-            free[v, u] = free[u, v] = False
             deg[u] += 1
         deg[v] += len(partners)
-        self.free = free
         self.edges.extend((v, u) if v < u else (u, v) for u in partners)
 
     def _pop_batch(self) -> None:
-        self.dist, self.free, v, partners = self._undo.pop()
+        self.dist, v, partners = self._undo.pop()
         del self.edges[-len(partners):]
         deg = self.deg
         for u in partners:
@@ -491,32 +479,49 @@ class _SkeletonSearch:
 
     # -- search proper
 
+    def _free_pairs(self) -> _np.ndarray:
+        """The pairs {x, y} an edge could still join: no path of length
+        <= g-2 either way.  From g = 3 on that distance already excludes
+        x == y and adjacent pairs; below it they are cleared here."""
+        far = self.dist >= self.cap
+        free = far & far.T
+        if self.cap < 2:
+            _np.fill_diagonal(free, False)
+            if self.edges:
+                a, b = _np.array(self.edges).T
+                free[a, b] = free[b, a] = False
+        return free
+
     def _slack(
-        self, deficient: _np.ndarray
+        self, deficient: _np.ndarray, free: _np.ndarray
     ) -> tuple[_np.ndarray, _np.ndarray]:
         """Deficient vertices, and for each the number of deficient
         partners it could still take at girth-compatible distance minus
-        its remaining demand.  ``deficient`` is the mask ``deg < r``."""
+        its remaining demand.  ``deficient`` is the mask ``deg < r`` and
+        ``free`` the matrix of _free_pairs."""
         r = self.spec.r
         # the product sums in the wider dtype, the one that holds n
-        counts = self.free.view(_np.uint8) @ deficient.astype(
+        counts = free.view(_np.uint8) @ deficient.astype(
             self._count_dtype
         )
         rows = deficient.nonzero()[0]
         return rows, (counts + self.deg)[rows] - r
 
-    def _candidates(self, v: int, deficient: _np.ndarray) -> _np.ndarray:
+    def _candidates(
+        self, v: int, deficient: _np.ndarray, free: _np.ndarray
+    ) -> _np.ndarray:
         """Deficient partners (``deficient`` is the mask ``deg < r``) that
         can take an edge to v without closing a cycle shorter than g
-        (single-edge criterion, exact).  Under "lex" the completion order
-        restricts partners to u > v."""
-        ok = self.free[v] & deficient
+        (single-edge criterion, exact: ``free`` is the matrix of
+        _free_pairs).  Under "lex" the completion order restricts
+        partners to u > v."""
+        ok = free[v] & deficient
         if self.policy == "lex":
             ok[: v + 1] = False
         return ok.nonzero()[0]
 
     def _combos_for(
-        self, v: int, deficient: _np.ndarray
+        self, v: int, deficient: _np.ndarray, free: _np.ndarray
     ) -> tuple[list[tuple[int, ...]], int]:
         """Sorted partner combinations for completing vertex v, plus the
         count of raw combinations eliminated by girth constraints.
@@ -540,7 +545,7 @@ class _SkeletonSearch:
         lexicographic order.
         """
         need = self.spec.r - int(self.deg[v])
-        idx = self._candidates(v, deficient)
+        idx = self._candidates(v, deficient, free)
         cands = idx.tolist()
         if len(cands) < need:
             return [], 0
@@ -576,14 +581,15 @@ class _SkeletonSearch:
         all sit above it, keeping the edge list sorted.
         """
         deficient = self.deg < self.spec.r
-        rows, slack = self._slack(deficient)
+        free = self._free_pairs()
+        rows, slack = self._slack(deficient, free)
         if len(rows) == 0:
             return "complete", 0
         least = slack.argmin()
         if slack[least] < 0:
             return "infeasible", 0
         v = int(rows[0] if self.policy == "lex" else rows[least])
-        combos, pruned = self._combos_for(v, deficient)
+        combos, pruned = self._combos_for(v, deficient, free)
         self.stack.append(_Frame(v, combos))
         return "pushed", pruned
 
@@ -593,7 +599,7 @@ class _SkeletonSearch:
         """Complete the frame's vertex with ``combo`` and expand the
         child (see _expand).  None, with the batch undone, when the
         grown edge list is not least in its orbit under the skeleton
-        group (lex policy, group within canonicity_cap)."""
+        group (lex policy, group within CANONICITY_CAP)."""
         self._add_batch(frame.vertex, combo)
         if self.orderly:
             n = self.n
@@ -740,7 +746,7 @@ def _visit(job: tuple) -> tuple:
     emission whose least image under the skeleton group was seen earlier
     in the visit is isomorphic to an earlier emission, so it shares that
     one's girth and class and is dropped before the girth check and
-    canonical labeling; a skeleton whose group exceeds canonicity_cap
+    canonical labeling; a skeleton whose group exceeds CANONICITY_CAP
     keeps every emission that passes.  Module level, so a process pool
     can run it on a copy of the search.
     """
@@ -809,9 +815,10 @@ def search_order(
         stats = SearchStats.from_dict(checkpoint["stats"])
         try:
             witnesses = [graph_from_payload(p) for p in checkpoint["witnesses"]]
-            seen_forms = {bytes.fromhex(h) for h in checkpoint["seen_forms"]}
+            forms = [bytes.fromhex(h) for h in checkpoint["seen_forms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc!r}") from None
+        seen_forms = _checked_forms(spec, witnesses, forms)
         for search, st in zip(searches, checkpoint["skeletons"]):
             search.restore(st)
         cursor = checkpoint["cursor"]
@@ -931,6 +938,31 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
     quota = cp["visit_quota_left"]
     if quota is not None and (type(quota) is not int or quota < 0):
         raise CheckpointError(f"checkpoint visit quota {quota!r} is invalid")
+
+
+def _checked_forms(
+    spec: SearchSpec, witnesses: list[MixedGraph], forms: list[bytes]
+) -> set[bytes]:
+    """The set of a checkpoint's ``forms`` when its ``witnesses`` pass the
+    checks _visit makes and ``forms`` are their canonical encodings, one
+    per witness, as the driver records them together; a decide
+    checkpoint has neither.  Raises CheckpointError otherwise."""
+    if spec.mode == "decide" and witnesses:
+        raise CheckpointError("decide checkpoint records witnesses")
+    for i, w in enumerate(witnesses):
+        if (w.n != spec.n or degree_profile(w).regular != (spec.r, 1)
+                or girth(w).girth != spec.g):
+            raise CheckpointError(
+                f"checkpoint witness {i} is not an "
+                f"({spec.r},1,{spec.g})-graph of order {spec.n}"
+            )
+    encodings = sorted(canonical_form(w).encoding for w in witnesses)
+    if encodings != sorted(forms) or len(set(forms)) != len(forms):
+        raise CheckpointError(
+            "checkpoint seen_forms are not its witnesses' classes, "
+            "one per witness"
+        )
+    return set(forms)
 
 
 def determine_cage_number(

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import mixedcages.search as search_module
+from mixedcages import SearchSpec, canonical_form, search_order
 from mixedcages.cli import run
 
 
@@ -347,6 +348,12 @@ def _corrupted_checkpoint(tmp_path, corrupt):
     return cp
 
 
+def _class_forms(r, g, n):
+    """Hex canonical encodings of every (r,1,g)-graph class of order n."""
+    out = search_order(SearchSpec(r=r, g=g, n=n, mode="enumerate"))
+    return sorted(canonical_form(w).encoding.hex() for w in out.witnesses)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -361,9 +368,14 @@ def _corrupted_checkpoint(tmp_path, corrupt):
             "girth_prunes", 1.5),
         lambda state, active: state["stats"].__setitem__(
             "canonicity_prunes", True),
+        # witnesses and classes that would be trusted into the result
+        lambda state, active: state["witnesses"].append(
+            {"n": 12, "edges": [[0, 1]], "arcs": []}),
+        lambda state, active: state.__setitem__(
+            "seen_forms", _class_forms(3, 4, 12)),
     ],
     ids=["path-index", "parts", "stats-string", "stats-negative",
-         "stats-float", "stats-bool"],
+         "stats-float", "stats-bool", "witness-invalid", "seen-forms"],
 )
 def test_corrupt_checkpoint_is_io_error(tmp_path, corrupt):
     cp = _corrupted_checkpoint(tmp_path, corrupt)

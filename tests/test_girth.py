@@ -204,6 +204,21 @@ def _reference_bfs_path(g, src, dst, banned_edge, cap):
     return None
 
 
+def _reference_shortest_two_cycle(g):
+    """Direct scan for 2-cycles, as girth() ran it before the breadth-first
+    search alone found them; returns the lexicographically first."""
+    pairs = set()
+    for u, v in g.arcs:
+        if (v, u) in g.arcs or (min(u, v), max(u, v)) in g.edges:
+            pairs.add((min(u, v), max(u, v)))
+    if not pairs:
+        return None
+    a, b = min(pairs)
+    first = "arc" if g.has_arc(a, b) else "edge"
+    second = "arc" if g.has_arc(b, a) else "edge"
+    return CycleWitness((a, b, a), (first, second))
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_graphs())
 def test_shortest_cycle_matches_reference(g):
@@ -211,3 +226,6 @@ def test_shortest_cycle_matches_reference(g):
     fast = girth(g)
     with mock.patch.object(girth_module, "_shortest_cycle", _reference_shortest_cycle):
         assert fast == girth(g)
+    two = _reference_shortest_two_cycle(g)
+    if two is not None:
+        assert (fast.girth, fast.witness) == (2, two)
