@@ -27,12 +27,16 @@ from .graphs import (
     MixedGraph,
     Pair,
     Permutation,
+    _normalize_edge,
     degree_profile,
     new_graph,
 )
 
 ROW_LENGTH = 10
 CHORD_OFFSET = 5  # the completion found by find_completion, pinned
+
+# an edge family (row a, row b, offset o): edges {v(a,j), v(b,j+o)}
+_Family = tuple[int, int, int]
 
 
 class CollisionError(ValueError):
@@ -61,72 +65,51 @@ class VerificationFailedError(ValueError):
 class ThreeRowRecipe:
     """Parameterized three-row construction.
 
-    ``m`` is the row length.  ``arc_rows`` lists the rows carrying a
-    directed m-cycle.  ``pair_offset`` joins row 0 to row 1
-    ({v(0,j), v(1,j+o)}), ``cross_offset`` row 0 to row 2, and
-    ``upper_offsets`` gives the two row-1-to-row-2 families.
-    ``chord_offset``, if set, adds edges {v(0,j), v(0,j+o)} inside
-    row 0.  Offsets are taken mod m.
+    ``m`` is the row length.  Every row carries a directed m-cycle, and
+    row 0 joins row 1 by {v(0,j), v(1,j)}.  ``cross_offset`` joins row 0
+    to row 2 ({v(0,j), v(2,j+o)}), and ``upper_offsets`` gives the two
+    row-1-to-row-2 families.  ``chord_offset``, if set, adds edges
+    {v(0,j), v(0,j+o)} inside row 0.  Offsets are taken mod m.
     """
 
     m: int = ROW_LENGTH
-    arc_rows: tuple[int, ...] = (0, 1, 2)
-    pair_offset: int = 0
     cross_offset: int = 5
     upper_offsets: tuple[int, int] = (2, -2)
     chord_offset: int | None = CHORD_OFFSET
 
-    def vertex(self, i: int, j: int) -> int:
-        return self.m * i + (j % self.m)
-
 
 def build_three_row(recipe: ThreeRowRecipe) -> MixedGraph:
-    """Materialize a recipe as a mixed graph on 3m vertices.
+    """Materialize a recipe as a mixed graph on 3m vertices."""
+    return _build(recipe.m, _families(recipe))
 
-    Within one symmetric family the double cover (j and j+o naming the
-    same chord) is collapsed; a coincidence between two different
-    families raises CollisionError because it means the offsets are
-    degenerate.
+
+def _families(recipe: ThreeRowRecipe) -> list[_Family]:
+    families = [(0, 1, 0), (0, 2, recipe.cross_offset)]
+    families += [(1, 2, off) for off in recipe.upper_offsets]
+    if recipe.chord_offset is not None:
+        families.append((0, 0, recipe.chord_offset))
+    return families
+
+
+def _build(m: int, families: list[_Family]) -> MixedGraph:
+    """Three directed m-cycles, v(i,j) = m*i + j, plus edge families.
+
+    A family (a, b, o) gives the edges {v(a,j), v(b,j+o)}, j mod m.
+    Within one family the double cover (j and j+o naming the same chord)
+    is collapsed; a coincidence between two different families raises
+    CollisionError because it means the offsets are degenerate.
     """
-    m = recipe.m
     if m < 3:
         raise ValueError(f"row length must be >= 3, got {m}")
-    arcs = []
-    for i in recipe.arc_rows:
-        for j in range(m):
-            arcs.append((recipe.vertex(i, j), recipe.vertex(i, j + 1)))
-    families: list[set[Pair]] = []
-    families.append(
-        {
-            _norm(recipe.vertex(0, j), recipe.vertex(1, j + recipe.pair_offset))
-            for j in range(m)
-        }
-    )
-    families.append(
-        {
-            _norm(recipe.vertex(0, j), recipe.vertex(2, j + recipe.cross_offset))
-            for j in range(m)
-        }
-    )
-    for off in recipe.upper_offsets:
-        families.append(
-            {
-                _norm(recipe.vertex(1, j), recipe.vertex(2, j + off))
-                for j in range(m)
-            }
-        )
-    if recipe.chord_offset is not None:
-        off = recipe.chord_offset % m
-        if off == 0:
-            raise ValueError("chord offset 0 would create self-loops")
-        families.append(
-            {
-                _norm(recipe.vertex(0, j), recipe.vertex(0, j + off))
-                for j in range(m)
-            }
-        )
+    for a, b, off in families:
+        if a == b and off % m == 0:
+            raise ValueError(f"offset {off} in row {a} makes self-loops")
+    arcs = [(m * i + j, m * i + (j + 1) % m)
+            for i in range(3) for j in range(m)]
     edges: set[Pair] = set()
-    for fam in families:
+    for a, b, off in families:
+        fam = {_normalize_edge(m * a + j, m * b + (j + off) % m)
+               for j in range(m)}
         overlap = edges & fam
         if overlap:
             raise CollisionError(
@@ -134,10 +117,6 @@ def build_three_row(recipe: ThreeRowRecipe) -> MixedGraph:
             )
         edges |= fam
     return new_graph(3 * m, sorted(edges), arcs)
-
-
-def _norm(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
 
 
 def g30_recipe() -> ThreeRowRecipe:
@@ -163,9 +142,7 @@ def build_g30_literal() -> MixedGraph:
     not edge-regular of degree 3.  `find_completion` documents the
     unique repair.
     """
-    return build_three_row(
-        ThreeRowRecipe(chord_offset=None)
-    )
+    return build_three_row(ThreeRowRecipe(chord_offset=None))
 
 
 def verify_parameters(g: MixedGraph, r: int, z: int, g_target: int) -> None:
@@ -184,52 +161,26 @@ def verify_parameters(g: MixedGraph, r: int, z: int, g_target: int) -> None:
 def find_completion() -> list[tuple[str, int]]:
     """Scan single-offset edge families that repair the literal rules.
 
-    Adds one extra family to the literal construction and keeps those
-    whose result is (3,1)-regular with girth exactly 6.  Families tried:
-    chords inside row 0 ({v(0,j), v(0,j+o)}, o in 1..5) and one extra
-    row-0-to-row-1 or row-0-to-row-2 family (offset 0..9).  Returns the
-    surviving (family, offset) descriptors; the library pins the unique
-    survivor ("row0_chord", 5).
+    Adds one extra family to the literal construction's families and
+    keeps those whose result passes `verify_parameters` for (3,1) and
+    girth 6.  Families tried: chords inside row 0 ({v(0,j), v(0,j+o)},
+    o in 1..5) and one extra row-0-to-row-1 or row-0-to-row-2 family
+    (offset 0..9).  Returns the surviving (family, offset) descriptors;
+    the library pins the unique survivor ("row0_chord", 5).
     """
-    base = build_g30_literal()
+    literal = _families(ThreeRowRecipe(chord_offset=None))
+    candidates = [("row0_chord", 0, o) for o in range(1, ROW_LENGTH // 2 + 1)]
+    candidates += [("row0_row1", 1, o) for o in range(ROW_LENGTH)]
+    candidates += [("row0_row2", 2, o) for o in range(ROW_LENGTH)]
     survivors = []
-    candidates: list[tuple[str, int]] = [
-        ("row0_chord", o) for o in range(1, ROW_LENGTH // 2 + 1)
-    ]
-    candidates += [("row0_row1", o) for o in range(ROW_LENGTH)]
-    candidates += [("row0_row2", o) for o in range(ROW_LENGTH)]
-    for fam, off in candidates:
+    for fam, row, off in candidates:
         try:
-            g = _with_extra_family(base, fam, off)
-        except (CollisionError, ValueError):
-            continue
-        profile = degree_profile(g)
-        if profile.regular != (3, 1):
-            continue
-        if girth(g).girth != 6:
+            g = _build(ROW_LENGTH, [*literal, (0, row, off)])
+            verify_parameters(g, r=3, z=1, g_target=6)
+        except (CollisionError, VerificationFailedError):
             continue
         survivors.append((fam, off))
     return survivors
-
-
-def _with_extra_family(base: MixedGraph, fam: str, off: int) -> MixedGraph:
-    m = ROW_LENGTH
-    extra: set[Pair] = set()
-    for j in range(m):
-        if fam == "row0_chord":
-            if off % m == 0:
-                raise ValueError("offset 0 is a self-loop")
-            extra.add(_norm(j, (j + off) % m))
-        elif fam == "row0_row1":
-            extra.add(_norm(j, m + (j + off) % m))
-        elif fam == "row0_row2":
-            extra.add(_norm(j, 2 * m + (j + off) % m))
-        else:
-            raise ValueError(f"unknown family {fam!r}")
-    overlap = base.edges & frozenset(extra)
-    if overlap:
-        raise CollisionError(f"extra family collides on {sorted(overlap)[:3]}")
-    return new_graph(base.n, sorted(base.edges | extra), base.sorted_arcs())
 
 
 def rotation_automorphism() -> Permutation:

@@ -244,7 +244,7 @@ class Permutation:
 
     def order(self) -> int:
         """Smallest k >= 1 with p^k = identity."""
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*map(len, self.cycles()))
 
 
 def apply_permutation(g: MixedGraph, p: Permutation) -> MixedGraph:

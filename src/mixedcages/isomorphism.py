@@ -11,9 +11,10 @@ backtrack: refine to an equitable coloring, branch on the vertices of
 the first smallest non-singleton cell, and keep the lexicographically
 least adjacency encoding over all discrete leaves.  Whenever two leaves
 produce the same encoding, composing their labelings yields a graph
-automorphism; discovered automorphisms prune equivalent branches at the
-top branching level and, collected together, generate the full
-automorphism group.  The group order comes from an incremental
+automorphism.  At every level, the discovered automorphisms that fix
+the individualized prefix prune the cell's vertices that lie in the
+orbit of an already tried one; collected together, they generate the
+full automorphism group.  The group order comes from an incremental
 Schreier-Sims stabilizer chain fed with the collected elements: each
 one that is not yet in the group becomes a reported generator, and only
 the levels its residue touches are re-completed.  Plain closure
@@ -267,12 +268,8 @@ def _ir_search(
             other = seen[enc]
             # apply(g, other) == apply(g, perm), so inv(other) . perm
             # fixes g; record it
-            inv_other = [0] * n
-            for i, j in enumerate(other):
-                inv_other[j] = i
-            phi = tuple(inv_other[perm[v]] for v in range(n))
-            p = Permutation(phi)
-            if apply_permutation(g, p) == g:
+            phi = _compose(_invert(other), perm)
+            if apply_permutation(g, Permutation(phi)) == g:
                 autos.append(phi)
         else:
             seen[enc] = perm

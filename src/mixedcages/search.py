@@ -735,6 +735,12 @@ class _SkeletonSearch:
 # engine
 
 
+def _is_witness(spec: SearchSpec, g: MixedGraph) -> bool:
+    """Whether g is (r,1)-regular with girth exactly g, as spec asks."""
+    return (degree_profile(g).regular == (spec.r, 1)
+            and girth(g).girth == spec.g)
+
+
 def _visit(job: tuple) -> tuple:
     """One visit to one skeleton: ``(search, quota, deadline)`` in,
     ``(search, status, nodes used, visit stats, completed graphs)`` out.
@@ -745,10 +751,10 @@ def _visit(job: tuple) -> tuple:
     driver dedupes against every class seen so far.  An enumerate
     emission whose least image under the skeleton group was seen earlier
     in the visit is isomorphic to an earlier emission, so it shares that
-    one's girth and class and is dropped before the girth check and
-    canonical labeling; a skeleton whose group exceeds CANONICITY_CAP
-    keeps every emission that passes.  Module level, so a process pool
-    can run it on a copy of the search.
+    one's degrees, girth and class and is dropped before the witness
+    check and canonical labeling; a skeleton whose group exceeds
+    CANONICITY_CAP keeps every emission that passes.  Module level, so a
+    process pool can run it on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
@@ -757,8 +763,6 @@ def _visit(job: tuple) -> tuple:
     orbits: set[bytes] = set()
 
     def emit(g: MixedGraph) -> bool:
-        if degree_profile(g).regular != (spec.r, 1):
-            return False
         if spec.mode == "enumerate":
             least = search.least_image(g.sorted_edges())
             if least is not None:
@@ -766,7 +770,7 @@ def _visit(job: tuple) -> tuple:
                 if orbit in orbits:
                     return False
                 orbits.add(orbit)
-        if girth(g).girth != spec.g:
+        if not _is_witness(spec, g):
             return False
         if spec.mode == "decide":
             found.append((g, None))
@@ -943,15 +947,14 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
 def _checked_forms(
     spec: SearchSpec, witnesses: list[MixedGraph], forms: list[bytes]
 ) -> set[bytes]:
-    """The set of a checkpoint's ``forms`` when its ``witnesses`` pass the
-    checks _visit makes and ``forms`` are their canonical encodings, one
-    per witness, as the driver records them together; a decide
-    checkpoint has neither.  Raises CheckpointError otherwise."""
+    """The set of a checkpoint's ``forms`` when its ``witnesses`` have
+    order n and pass _is_witness and ``forms`` are their canonical
+    encodings, one per witness, as the driver records them together; a
+    decide checkpoint has neither.  Raises CheckpointError otherwise."""
     if spec.mode == "decide" and witnesses:
         raise CheckpointError("decide checkpoint records witnesses")
     for i, w in enumerate(witnesses):
-        if (w.n != spec.n or degree_profile(w).regular != (spec.r, 1)
-                or girth(w).girth != spec.g):
+        if w.n != spec.n or not _is_witness(spec, w):
             raise CheckpointError(
                 f"checkpoint witness {i} is not an "
                 f"({spec.r},1,{spec.g})-graph of order {spec.n}"

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from itertools import product
+
 import pytest
 
 from mixedcages import (
@@ -13,7 +16,15 @@ from mixedcages import (
     rotation_automorphism,
     row_transposition_automorphism,
 )
-from mixedcages.constructions import build_g30_literal, verify_parameters
+from mixedcages.constructions import (
+    CHORD_OFFSET,
+    ROW_LENGTH,
+    _build,
+    _families,
+    build_g30_literal,
+    verify_parameters,
+)
+from mixedcages.graphs import MixedGraph, Pair, new_graph
 
 
 def test_build_g30_parameters(g30):
@@ -94,3 +105,134 @@ def test_gate_runs_on_every_build():
     bad = ThreeRowRecipe(chord_offset=4)
     with pytest.raises((VerificationFailedError, CollisionError)):
         verify_parameters(build_three_row(bad), r=3, z=1, g_target=6)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the recipe builder and the completion scan's extra
+# family as they were before both went through one family builder
+
+
+@dataclass(frozen=True)
+class _ReferenceRecipe:
+    m: int = ROW_LENGTH
+    arc_rows: tuple[int, ...] = (0, 1, 2)
+    pair_offset: int = 0
+    cross_offset: int = 5
+    upper_offsets: tuple[int, int] = (2, -2)
+    chord_offset: int | None = CHORD_OFFSET
+
+    def vertex(self, i: int, j: int) -> int:
+        return self.m * i + (j % self.m)
+
+
+def _reference_build_three_row(recipe: _ReferenceRecipe) -> MixedGraph:
+    m = recipe.m
+    if m < 3:
+        raise ValueError(f"row length must be >= 3, got {m}")
+    arcs = []
+    for i in recipe.arc_rows:
+        for j in range(m):
+            arcs.append((recipe.vertex(i, j), recipe.vertex(i, j + 1)))
+    families: list[set[Pair]] = []
+    families.append(
+        {
+            _norm(recipe.vertex(0, j), recipe.vertex(1, j + recipe.pair_offset))
+            for j in range(m)
+        }
+    )
+    families.append(
+        {
+            _norm(recipe.vertex(0, j), recipe.vertex(2, j + recipe.cross_offset))
+            for j in range(m)
+        }
+    )
+    for off in recipe.upper_offsets:
+        families.append(
+            {
+                _norm(recipe.vertex(1, j), recipe.vertex(2, j + off))
+                for j in range(m)
+            }
+        )
+    if recipe.chord_offset is not None:
+        off = recipe.chord_offset % m
+        if off == 0:
+            raise ValueError("chord offset 0 would create self-loops")
+        families.append(
+            {
+                _norm(recipe.vertex(0, j), recipe.vertex(0, j + off))
+                for j in range(m)
+            }
+        )
+    edges: set[Pair] = set()
+    for fam in families:
+        overlap = edges & fam
+        if overlap:
+            raise CollisionError(
+                f"edge families collide on {sorted(overlap)[:3]}"
+            )
+        edges |= fam
+    return new_graph(3 * m, sorted(edges), arcs)
+
+
+def _norm(u: int, v: int) -> Pair:
+    return (u, v) if u < v else (v, u)
+
+
+def _with_extra_family(base: MixedGraph, fam: str, off: int) -> MixedGraph:
+    m = ROW_LENGTH
+    extra: set[Pair] = set()
+    for j in range(m):
+        if fam == "row0_chord":
+            if off % m == 0:
+                raise ValueError("offset 0 is a self-loop")
+            extra.add(_norm(j, (j + off) % m))
+        elif fam == "row0_row1":
+            extra.add(_norm(j, m + (j + off) % m))
+        elif fam == "row0_row2":
+            extra.add(_norm(j, 2 * m + (j + off) % m))
+        else:
+            raise ValueError(f"unknown family {fam!r}")
+    overlap = base.edges & frozenset(extra)
+    if overlap:
+        raise CollisionError(f"extra family collides on {sorted(overlap)[:3]}")
+    return new_graph(base.n, sorted(base.edges | extra), base.sorted_arcs())
+
+
+def _outcome(build, *args):
+    """The built graph, or the class of the exception the build raised."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_builder_matches_reference_on_every_recipe():
+    # every m in 3..12, and 2 below the floor, with every cross, upper
+    # and chord offset mod m: valid graphs, collisions and self-loops
+    outcomes = set()
+    for m in range(2, 13):
+        offsets = range(m)
+        for cross, up1, up2, chord in product(
+            offsets, offsets, offsets, [None, *offsets]
+        ):
+            fields = dict(m=m, cross_offset=cross, upper_offsets=(up1, up2),
+                          chord_offset=chord)
+            new = _outcome(build_three_row, ThreeRowRecipe(**fields))
+            assert new == _outcome(
+                _reference_build_three_row, _ReferenceRecipe(**fields)
+            ), fields
+            outcomes.add(new if isinstance(new, type) else MixedGraph)
+    assert outcomes == {MixedGraph, CollisionError, ValueError}
+
+
+def test_completion_candidates_match_reference():
+    # every offset of the three extra families find_completion tries
+    # (a superset of its candidates), built through the shared builder
+    literal = _families(ThreeRowRecipe(chord_offset=None))
+    base = _reference_build_three_row(_ReferenceRecipe(chord_offset=None))
+    for (fam, row), off in product(
+        [("row0_chord", 0), ("row0_row1", 1), ("row0_row2", 2)],
+        range(ROW_LENGTH),
+    ):
+        new = _outcome(_build, ROW_LENGTH, [*literal, (0, row, off)])
+        assert new == _outcome(_with_extra_family, base, fam, off), (fam, off)
