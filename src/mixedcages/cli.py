@@ -370,6 +370,8 @@ def _cmd_aut(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_iso(args, stdin, stdout, stderr) -> int:
+    if args.file1 == args.file2 == "-":
+        raise _UsageError("standard input can be read only once")
     g = _read_graph(args.file1, stdin, args.allow_header, stderr)
     h = _read_graph(args.file2, stdin, args.allow_header, stderr)
     verdict, witness = is_isomorphic(g, h)

@@ -54,7 +54,8 @@ def read_adjacency_matrix(
 
     With ``allow_header=True``, leading lines that do not parse as 0/1
     rows are skipped; each skipped line is flagged with a
-    MatrixHeaderWarning rather than dropped silently.
+    MatrixHeaderWarning rather than dropped silently.  A text with no
+    matrix rows raises MatrixParseError: nobody supplied a graph.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -76,6 +77,8 @@ def read_adjacency_matrix(
                 continue
             raise
     n = len(rows)
+    if n == 0:
+        raise MatrixParseError("no matrix rows")
     for idx, row in enumerate(rows):
         if len(row) != n:
             raise NonSquareError(

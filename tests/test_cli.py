@@ -126,6 +126,27 @@ def test_iso_json_witness(tmp_path, g30_matrix):
     assert sorted(payload["witness"]["image"]) == list(range(30))
 
 
+def test_iso_rejects_stdin_twice(g30_matrix):
+    code, out, err = cli(["iso", "-", "-"], stdin_text=g30_matrix)
+    assert code == 2
+    assert err.startswith("usage error:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--r", "3", "--z", "1", "--g", "6"], ["aut"], ["girth"]],
+    ids=["verify", "aut", "girth"],
+)
+@pytest.mark.parametrize(
+    "text, flags", [("", []), ("order 2\n", ["--allow-header"])],
+    ids=["empty", "header-only"],
+)
+def test_matrix_without_rows_is_parse_error(command, text, flags):
+    code, out, err = cli(command + ["-"] + flags, stdin_text=text)
+    assert code == 3
+    assert "no matrix rows" in err and out == ""
+
+
 def test_export_round_trip(g30_matrix):
     code, out, _ = cli(["export", "-", "--format", "matrix"], stdin_text=g30_matrix)
     assert code == 0

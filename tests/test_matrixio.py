@@ -5,6 +5,7 @@ import pytest
 from mixedcages import (
     BadTokenError,
     MatrixHeaderWarning,
+    MatrixParseError,
     NonSquareError,
     NonzeroDiagonalError,
     UnrepresentableError,
@@ -63,6 +64,16 @@ def test_header_lines_are_flagged_not_silent():
     # a non-row line after the matrix started is still an error
     with pytest.raises(BadTokenError):
         read_adjacency_matrix("0 1\nodd\n1 0", allow_header=True)
+
+
+def test_no_rows_rejected():
+    # an order-0 graph is not something a matrix file can supply
+    for text in ("", "\n  \n"):
+        with pytest.raises(MatrixParseError, match="no matrix rows"):
+            read_adjacency_matrix(text)
+    with pytest.warns(MatrixHeaderWarning):
+        with pytest.raises(MatrixParseError, match="no matrix rows"):
+            read_adjacency_matrix("order 2\nsize 1", allow_header=True)
 
 
 def representable(g):
