@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb as _comb
 
 import numpy as _np
@@ -435,6 +435,8 @@ class _SkeletonSearch:
         )
         self.orderly = self.policy == "lex" and self.use_group
         self._autos: _np.ndarray | None = None
+        # the least image of the orderly test's latest node
+        self._least: _np.ndarray | None = None
         self.stack: list[_Frame] = []
 
     def least_image(self, edges) -> _np.ndarray | None:
@@ -446,6 +448,14 @@ class _SkeletonSearch:
         if self._autos is None:
             self._autos = _skeleton_autos(self.skeleton.parts)
         return _least_image(self._autos, edges)
+
+    def orbit(self) -> bytes | None:
+        """Key of the current edge set's orbit under the skeleton group:
+        the bytes of its least image, or None when the group is larger
+        than CANONICITY_CAP.  Under the orderly test it is the image
+        that test computed for the node that completed the edge set."""
+        least = self._least if self.orderly else self.least_image(self.edges)
+        return None if least is None else least.tobytes()
 
     # -- state mutation
 
@@ -539,10 +549,18 @@ class _SkeletonSearch:
         put one of them within g-4 of v, and then it would not be a
         candidate.
 
-        A single missing edge needs no pair test.  Otherwise each chosen
-        candidate narrows the pool of later candidates to those its row
-        of the pair matrix allows, which yields the combinations in
-        lexicographic order.
+        A single missing edge needs no pair test.  A pool of at most
+        need + 1 candidates, the usual case under fail-first, has at
+        most need + 1 combinations: each, in lexicographic order, reads
+        its pairs from ``dist`` one by one and is kept when all of them
+        pass.  A larger pool builds the pair matrix once, and each
+        chosen candidate narrows the pool of later candidates to those
+        its row allows, which also yields the combinations in
+        lexicographic order.  Both paths apply the same threshold in
+        both directions to the same sorted candidates and keep exactly
+        the combinations without a rejected pair, so they return the
+        same list, and the girth-pruned count is the rest of the
+        C(c, need) raw ones.
         """
         need = self.spec.r - int(self.deg[v])
         idx = self._candidates(v, deficient, free)
@@ -551,6 +569,12 @@ class _SkeletonSearch:
             return [], 0
         if need == 1:
             return [(c,) for c in cands], 0
+        if len(cands) <= need + 1:
+            d, lo = self.dist, self.cap - 1
+            out = [c for c in combinations(cands, need)
+                   if all(d[a, b] >= lo and d[b, a] >= lo
+                          for a, b in combinations(c, 2))]
+            return out, _comb(len(cands), need) - len(out)
         far = self.dist[idx[:, None], idx] >= self.cap - 1
         ok = (far & far.T).tolist()
         out: list[tuple[int, ...]] = []
@@ -603,8 +627,8 @@ class _SkeletonSearch:
         self._add_batch(frame.vertex, combo)
         if self.orderly:
             n = self.n
-            least = self.least_image(self.edges).tolist()
-            if least != [a * n + b for a, b in self.edges]:
+            self._least = self.least_image(self.edges)
+            if self._least.tolist() != [a * n + b for a, b in self.edges]:
                 self._pop_batch()
                 return None
         return self._expand()
@@ -612,9 +636,11 @@ class _SkeletonSearch:
     def run(self, quota: float, deadline: float | None, stats: SearchStats,
             emit) -> tuple[str, int]:
         """Advance until the node quota or deadline is consumed, the
-        emit callback accepts a complete graph (decide), or the skeleton
-        is exhausted.  Returns ("found" | "paused" | "exhausted",
-        nodes consumed this visit).
+        emit callback accepts a complete edge set (decide), or the
+        skeleton is exhausted.  Returns ("found" | "paused" | "exhausted",
+        nodes consumed this visit).  ``emit`` gets this search in each
+        complete state and reads what it needs: ``orbit()``, and
+        ``_graph()`` only for the edge sets it keeps.
 
         The first visit expands the root, the bare skeleton, which costs
         no node.  It is never complete, since every vertex lacks all r
@@ -656,7 +682,7 @@ class _SkeletonSearch:
                 stats.infeasible_prunes += 1
                 self._pop_batch()
             elif state == "complete":
-                done = emit(self._graph())
+                done = emit(self)
                 self._pop_batch()
                 if done:
                     return "found", used
@@ -751,10 +777,10 @@ def _visit(job: tuple) -> tuple:
     driver dedupes against every class seen so far.  An enumerate
     emission whose least image under the skeleton group was seen earlier
     in the visit is isomorphic to an earlier emission, so it shares that
-    one's degrees, girth and class and is dropped before the witness
-    check and canonical labeling; a skeleton whose group exceeds
-    CANONICITY_CAP keeps every emission that passes.  Module level, so a
-    process pool can run it on a copy of the search.
+    one's degrees, girth and class and is dropped before its graph is
+    built; a skeleton whose group exceeds CANONICITY_CAP keeps every
+    emission that passes.  Module level, so a process pool can run it
+    on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
@@ -762,14 +788,14 @@ def _visit(job: tuple) -> tuple:
     found: list[tuple[MixedGraph, bytes | None]] = []
     orbits: set[bytes] = set()
 
-    def emit(g: MixedGraph) -> bool:
+    def emit(done: _SkeletonSearch) -> bool:
         if spec.mode == "enumerate":
-            least = search.least_image(g.sorted_edges())
-            if least is not None:
-                orbit = least.tobytes()
+            orbit = done.orbit()
+            if orbit is not None:
                 if orbit in orbits:
                     return False
                 orbits.add(orbit)
+        g = done._graph()
         if not _is_witness(spec, g):
             return False
         if spec.mode == "decide":

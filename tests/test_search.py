@@ -585,6 +585,53 @@ def _reference_combos(search, trans, v, cands):
     return out, comb(len(cands), need) - len(out)
 
 
+def test_combos_match_reference_on_search_states(monkeypatch):
+    """Every combination list of the (3,1,5)@20 decide search, a tree
+    whose pools run from exactly ``need`` candidates to many more,
+    equals the list recomputed with the pair filter on a copy of the
+    graph with v deleted, from candidates recounted from scratch; the
+    tree keeps its pinned statistics."""
+    real = _SkeletonSearch._combos_for
+    pools = []
+
+    def checked(search, v, deficient, free):
+        got = real(search, v, deficient, free)
+        n = search.n
+        adj = np.zeros((n, n), dtype=bool)
+        for a, b in search.edges:
+            adj[a, b] = adj[b, a] = True
+        trans = _arc_matrix(search.skeleton) | adj
+        ref_free = _reference_free(search, trans, adj)
+        cands = [y for y in range(n)
+                 if search.deg[y] < search.spec.r and ref_free[v, y]]
+        assert got == _reference_combos(search, trans, v, cands)
+        pools.append((search.spec.r - int(search.deg[v]), len(cands)))
+        return got
+
+    monkeypatch.setattr(_SkeletonSearch, "_combos_for", checked)
+    out = search_order(SearchSpec(r=3, g=5, n=20))
+    assert out.status == "exhausted"
+    assert out.stats == SearchStats(nodes=9688, girth_prunes=8919,
+                                    canonicity_prunes=0,
+                                    infeasible_prunes=1759)
+    assert any(need > 1 and c <= need + 1 for need, c in pools)
+    assert any(need > 1 and c > need + 1 for need, c in pools)
+
+
+def test_decide_order_30_tree_is_pinned():
+    """The headline decide search finds the order-30 cage at the same
+    node, with the same prune counts, that the benchmark pins."""
+    from mixedcages import build_g30, is_isomorphic
+
+    out = search_order(SearchSpec(r=3, g=6, n=30))
+    assert out.status == "found"
+    assert out.stats == SearchStats(nodes=31289, girth_prunes=52983,
+                                    canonicity_prunes=0,
+                                    infeasible_prunes=11916)
+    verdict, _ = is_isomorphic(out.witnesses[0], build_g30())
+    assert verdict
+
+
 def _arc_matrix(skeleton):
     n = sum(skeleton.parts)
     arc_mat = np.zeros((n, n), dtype=bool)
@@ -778,12 +825,42 @@ def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
         assert plain.stats == out.stats
 
 
+def test_emissions_reuse_least_images_and_build_one_graph_per_orbit(
+    monkeypatch
+):
+    """Under lex each emission keys its orbit with the least image its
+    node's orderly test computed, so (3,1,4)@12 maps its edge lists
+    through the group once per node (1,509), not once more per emission;
+    under focus a graph is built only for the 29 emissions that reach a
+    new orbit, not for all 724."""
+    calls = {"least": 0, "graph": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(search_module, "_least_image",
+                        counting("least", search_module._least_image))
+    monkeypatch.setattr(search_module, "new_graph",
+                        counting("graph", search_module.new_graph))
+    lex = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate",
+                                  branch_policy="lex"))
+    assert lex.stats.nodes == calls["least"] == 1509
+    calls.update(least=0, graph=0)
+    focus = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate",
+                                    branch_policy="focus"))
+    assert calls["graph"] == len(focus.witnesses) == 29
+
+
 def _completions_by_class(spec, skeleton):
     """Every verified completion the unpruned search reaches in one
     skeleton, counted by canonical encoding, with one graph per class."""
     counts, graphs = {}, {}
 
-    def emit(g):
+    def emit(done):
+        g = done._graph()
         if (degree_profile(g).regular == (spec.r, 1)
                 and girth(g).girth == spec.g):
             enc = canonical_form(g).encoding
@@ -845,7 +922,7 @@ def test_order_30_skeleton_double_counts_the_cage():
 def test_uniqueness_of_order_30_graph(workers):
     """Full isomorph-free enumeration at order 30: exactly one class.
 
-    About 21 s in one process and 13 s with two workers on a 2-vCPU
+    About 40 s in one process and 25 s with two workers on a 2-vCPU
     host; RESULTS.md records the run.  Under two workers the same tree
     runs through the process pool.
     """
