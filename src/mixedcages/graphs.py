@@ -90,6 +90,19 @@ class MixedGraph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def flat_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex, its edge neighbors, its out-neighbors plus n
+        and its in-neighbors plus 2n: indices into three copies of a
+        vertex array laid end to end, one copy per relation."""
+        n = self.n
+        return tuple(
+            e + tuple(w + n for w in o) + tuple(w + 2 * n for w in i)
+            for e, o, i in zip(
+                self.edge_neighbors, self.out_neighbors, self.in_neighbors
+            )
+        )
+
     def sorted_edges(self) -> list[Pair]:
         return sorted(self.edges)
 

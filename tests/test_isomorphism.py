@@ -314,7 +314,21 @@ def test_refine_matches_reference(g, data):
     colors = data.draw(
         st.lists(st.sampled_from(palette), min_size=g.n, max_size=g.n)
     )
-    assert isomorphism._refine(g, colors) == _reference_refine_cells(g, colors)
+    assert isomorphism._refine(g, colors) == _reference_refine_cells(g, colors)[1]
+
+
+def _coloring(cells, n):
+    colors = [0] * n
+    for i, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = i
+    return colors
+
+
+def _individualize(colors, v):
+    """Individualization on colors, independent of the search's cells:
+    v takes a color of its own, just below the rest of its cell."""
+    return [c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,9 +336,61 @@ def test_refine_matches_reference(g, data):
 def test_labeling_and_group_match_reference_refine(g):
     cf = canonical_form(g)
     group = automorphism_group(g)
-    with mock.patch.object(isomorphism, "_refine", _reference_refine_cells):
+    calls = []
+
+    def reference(g, cells):
+        calls.append(cells)
+        return _reference_refine_cells(g, _coloring(cells, g.n))[1]
+
+    # every search node refines through _refine_cells, the root's too
+    # (after its first round in _refine)
+    with mock.patch.object(isomorphism, "_refine_cells", reference):
         assert cf == canonical_form(g)
         assert group == automorphism_group(g)
+    assert calls
+
+
+def _refined_nodes(g):
+    """(input cells, refined cells) of every node of one labeling search."""
+    nodes = []
+    real = isomorphism._refine_cells
+
+    def spy(g, cells):
+        out = real(g, cells)
+        nodes.append((cells, out))
+        return out
+
+    with mock.patch.object(isomorphism, "_refine_cells", spy):
+        isomorphism._ir_search(g)
+    return nodes
+
+
+def _assert_nodes_refine_like_reference(g):
+    (_, root), *children = _refined_nodes(g)
+    colors, cells = _reference_refine_cells(g, [0] * g.n)
+    assert root == cells
+    refined = [(colors, cells)]
+    for cells_in, out in children:
+        # find the node and vertex whose individualization this child is
+        parents = [
+            (colors, v)
+            for colors, cells in refined
+            for i, cell in enumerate(cells)
+            if len(cell) > 1
+            for v in cell
+            if cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
+            == cells_in
+        ]
+        assert parents
+        colors, cells = _reference_refine_cells(g, _individualize(*parents[0]))
+        assert out == cells
+        refined.append((colors, cells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs())
+def test_search_nodes_refine_like_reference(g):
+    _assert_nodes_refine_like_reference(g)
 
 
 # sha256 of canonical_form(g).encoding, recorded before the refinement
@@ -356,3 +422,8 @@ def _pinned_graph(name):
 def test_canonical_encoding_is_pinned(name):
     encoding = canonical_form(_pinned_graph(name)).encoding
     assert hashlib.sha256(encoding).hexdigest() == PINNED_ENCODINGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENCODINGS))
+def test_pinned_search_nodes_refine_like_reference(name):
+    _assert_nodes_refine_like_reference(_pinned_graph(name))
