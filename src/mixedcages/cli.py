@@ -186,20 +186,22 @@ def _build_parser() -> _Parser:
 # helpers
 
 
-def _read_graph(path: str, stdin, allow_header: bool, stderr=None) -> MixedGraph:
-    if path == "-":
-        text = stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+def _read_graph(path: str, stdin, allow_header: bool, stderr) -> MixedGraph:
+    try:
+        if path == "-":
+            text = stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: undecodable bytes: {exc}") from None
     if not allow_header:
         return read_adjacency_matrix(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         g = read_adjacency_matrix(text, allow_header=True)
-    if stderr is not None:
-        for w in caught:
-            print(f"note: {w.message}", file=stderr)
+    for w in caught:
+        print(f"note: {w.message}", file=stderr)
     return g
 
 
@@ -485,9 +487,9 @@ def _cmd_search_auto(args, stdout) -> int:
     if ignored:
         raise _UsageError(f"--auto does not take {', '.join(ignored)}")
     n_max = args.n_max
-    if n_max is None:
-        n_max = ahm_bound(args.r, args.g) + 5
     try:
+        if n_max is None:
+            n_max = ahm_bound(args.r, args.g) + 5
         result = determine_cage_number(
             args.r, args.g, n_max,
             node_budget=args.budget_nodes, time_budget=args.budget_secs,
@@ -503,6 +505,9 @@ def _cmd_search_auto(args, stdout) -> int:
         else:
             print(f"inconclusive: {exc}", file=stdout)
         return EXIT_BUDGET
+    except ValueError as exc:
+        # InconclusiveError is a ValueError too, so it is caught first
+        raise _UsageError(str(exc))
     if args.json:
         _emit_json(stdout, {
             "status": "determined",

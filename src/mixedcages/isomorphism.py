@@ -3,15 +3,15 @@
 Mixed graphs carry three adjacency relations (edge, arc-out, arc-in),
 and all three drive an iterative color refinement (McKay & Piperno,
 "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).  The
-refinement keeps the color classes as cells in color order and, each
-round, splits only the non-singleton cells, by their members' sorted
-neighbor colors in the three relations; singletons keep their place.
-Once the cells are degree-uniform, which they are after one round, a
-vertex's signature is one flat sorted tuple: its edge-neighbor colors,
-its out-neighbor colors plus n and its in-neighbor colors plus 2n.
-The offsets keep the three segments apart, and within a cell each
-segment has the same length for every member, so flat tuples rank a
-cell's members exactly as the tuples of three sorted tuples do.
+refinement starts from the vertices grouped by their (edge, out, in)
+degrees, keeps the color classes as cells in color order and, each
+round, splits only the non-singleton cells, by one flat sorted tuple
+per member: its edge-neighbor colors, its out-neighbor colors plus n
+and its in-neighbor colors plus 2n; singletons keep their place.  The
+offsets keep the three segments apart, and the members of a cell share
+their three degrees, so each segment has the same length for every
+member and two members' tuples are equal exactly when their neighbor
+colors agree relation by relation.
 Canonical labeling runs the usual individualization-refinement
 backtrack: refine to an equitable coloring, branch on the vertices of
 the first smallest non-singleton cell, and keep the lexicographically
@@ -189,45 +189,18 @@ def group_fingerprint(group: AutGroup, cap: int = 1000) -> GroupFingerprint:
 # individualization-refinement search
 
 
-def _refine(g: MixedGraph, colors: list[int]) -> list[list[int]]:
-    """Equitable refinement of an arbitrary coloring, canonically ranked.
-
-    Returns the color cells in color order, each listing its vertices
-    in ascending order; the i-th cell is the class of color i.  The input
-    coloring's cells need not be degree-uniform, so the first round
-    gives each member of a non-singleton cell the signature of its
-    sorted edge, out- and in-neighbor colors as three tuples, ranks
-    the cell's sub-cells by signature, and renumbers all cells in
-    order; a singleton cell just takes the next rank.  That is the
-    ranking of the vertices by (color, signature) over the whole graph.
-    Members of one resulting cell share their three degrees, so
-    :func:`_refine_cells` takes over from there.
-    """
-    edge, out, inn = g.edge_neighbors, g.out_neighbors, g.in_neighbors
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    cells = [by_color[c] for c in sorted(by_color)]
-    colors = [0] * g.n
-    for i, cell in enumerate(cells):
-        for v in cell:
-            colors[v] = i
-    col = colors.__getitem__
-    split: list[list[int]] = []
-    for cell in cells:
-        if len(cell) == 1:
-            split.append(cell)
-            continue
-        subs: dict[tuple, list[int]] = {}
-        for v in cell:
-            sig = (
-                tuple(sorted(map(col, edge[v]))),
-                tuple(sorted(map(col, out[v]))),
-                tuple(sorted(map(col, inn[v]))),
-            )
-            subs.setdefault(sig, []).append(v)
-        split.extend(subs[sig] for sig in sorted(subs))
-    return _refine_cells(g, split)
+def _degree_cells(g: MixedGraph) -> list[list[int]]:
+    """The vertices grouped by their (edge, out, in) degrees: cells in
+    ascending degree order, members in ascending order."""
+    by_degree: dict[tuple[int, int, int], list[int]] = {}
+    degrees = zip(
+        map(len, g.edge_neighbors),
+        map(len, g.out_neighbors),
+        map(len, g.in_neighbors),
+    )
+    for v, key in enumerate(degrees):
+        by_degree.setdefault(key, []).append(v)
+    return [by_degree[key] for key in sorted(by_degree)]
 
 
 def _refine_cells(g: MixedGraph, cells: list[list[int]]) -> list[list[int]]:
@@ -235,21 +208,21 @@ def _refine_cells(g: MixedGraph, cells: list[list[int]]) -> list[list[int]]:
 
     ``cells`` lists the color cells in color order, each in ascending
     order, and the members of each cell share their (edge, out, in)
-    degrees; the result is the cells :func:`_refine` would reach from
-    the coloring they define.  A cell's color is its start, the number
-    of vertices in the cells before it: that grows with the cell order
-    as the rank does, and a split changes the colors of the split
-    cell's members only.  A round gives each member of a non-singleton
-    cell one flat signature, the sorted colors of its edge neighbors,
-    of its out-neighbors plus n and of its in-neighbors plus 2n in one
-    tuple (read through ``g.flat_neighbors``).  Colors are below n, so
-    the offsets keep the three segments apart and in relation order,
-    and within a degree-uniform cell each segment has the same length
-    for every member; so flat signatures compare exactly as the
-    three-tuple signatures do and rank the sub-cells the same.  A cell
-    whose members share one signature stays as it is.  Refinement
-    stops when a round splits no cell; splitting a degree-uniform cell
-    leaves degree-uniform cells.
+    degrees.  A cell's color is its start, the number of vertices in
+    the cells before it: that grows with the cell order as a rank
+    does, and a split changes the colors of the split cell's members
+    only.  A round gives each member of a non-singleton cell one flat
+    signature, the sorted colors of its edge neighbors, of its
+    out-neighbors plus n and of its in-neighbors plus 2n in one tuple
+    (read through ``g.flat_neighbors``), and puts the cell's sub-cells
+    in signature order.  Colors are below n, so the offsets keep the
+    three segments apart and in relation order, and within a
+    degree-uniform cell each segment has the same length for every
+    member; so two members share a signature exactly when they share
+    their neighbor colors in each relation.  A cell whose members share
+    one signature stays as it is.  Refinement stops when a round splits
+    no cell; splitting a degree-uniform cell leaves degree-uniform
+    cells.
     """
     n, n2 = g.n, 2 * g.n
     nbrs = g.flat_neighbors
@@ -345,8 +318,6 @@ def _ir_search(
     encoding nor automorphisms outside the group already generated.
     """
     n = g.n
-    if n == 0:
-        return b"", Permutation(()), [], []
     best: list[bytes | None] = [None]
     best_perm: list[Permutation | None] = [None]
     seen: dict[bytes, tuple[int, ...]] = {}
@@ -399,7 +370,7 @@ def _ir_search(
                 prefix + (v,),
             )
 
-    descend(_refine(g, [0] * n), ())
+    descend(_refine_cells(g, _degree_cells(g)), ())
     if best[0] is None or best_perm[0] is None:
         raise RuntimeError("canonical labeling search reached no leaf")
     return best[0], best_perm[0], autos, path

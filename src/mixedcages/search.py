@@ -128,6 +128,15 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.branch_policy not in ("auto", "lex", "focus"):
             raise ValueError(f"unknown branch policy {self.branch_policy!r}")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError(
+                f"node budget must be >= 0, got {self.node_budget}"
+            )
+        # "not >= 0" rejects NaN too, which would disable the deadline
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(
+                f"time budget must be >= 0, got {self.time_budget}"
+            )
 
     def effective_policy(self) -> str:
         """Vertex-selection policy.
@@ -428,7 +437,6 @@ class _SkeletonSearch:
         self.deg = _np.zeros(n, dtype=_np.int32)
         self.edges: list[Pair] = []  # under "lex" policy: stays sorted
         self.exhausted = False
-        self.started = False
         self.policy = spec.effective_policy()
         self.use_group = (
             skeleton_group_order(skeleton.parts) <= CANONICITY_CAP
@@ -645,14 +653,15 @@ class _SkeletonSearch:
         The first visit expands the root, the bare skeleton, which costs
         no node.  It is never complete, since every vertex lacks all r
         edges; when it is infeasible nothing is pushed and the skeleton
-        is exhausted at once.  Every other frame was entered by applying
-        a batch, so popping a frame undoes a batch exactly when a frame
-        stays below it."""
+        is exhausted at once.  So a skeleton that is not exhausted has
+        started exactly when its stack is non-empty, and a visit that
+        finds the stack empty is the first.  Every other frame was
+        entered by applying a batch, so popping a frame undoes a batch
+        exactly when a frame stays below it."""
         if self.exhausted:
             return "exhausted", 0
         used = 0
-        if not self.started:
-            self.started = True
+        if not self.stack:
             state, pruned = self._expand()
             stats.girth_prunes += pruned
             if state == "infeasible":
@@ -698,7 +707,7 @@ class _SkeletonSearch:
         return {
             "parts": list(self.skeleton.parts),
             "exhausted": self.exhausted,
-            "started": self.started,
+            "started": self.exhausted or bool(self.stack),
             "path": [f.next_idx for f in self.stack],
         }
 
@@ -719,7 +728,6 @@ class _SkeletonSearch:
         if type(exhausted) is not bool or type(started) is not bool:
             raise CheckpointError("exhausted and started must be booleans")
         self.exhausted = exhausted
-        self.started = started
         if exhausted or not started:
             return
         if (not isinstance(path, list) or not path

@@ -147,6 +147,27 @@ def test_matrix_without_rows_is_parse_error(command, text, flags):
     assert "no matrix rows" in err and out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--r", "1", "--z", "0", "--g", "3"], ["girth"], ["aut"],
+    ["iso", "GOOD"], ["export"],
+], ids=["verify", "girth", "aut", "iso", "export"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_undecodable_matrix_is_parse_error(tmp_path, command, source):
+    data = b"0 1\n1 \xc3\n"
+    good = tmp_path / "good.txt"
+    good.write_text("0 1\n1 0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    args = [str(good) if a == "GOOD" else a for a in command]
+    args.append(str(bad) if source == "file" else "-")
+    # stdin as the console script sees it under a UTF-8 locale
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(args, stdin=stdin, stdout=out, stderr=err)
+    assert code == 3
+    assert err.getvalue().startswith("error:") and out.getvalue() == ""
+
+
 def test_export_round_trip(g30_matrix):
     code, out, _ = cli(["export", "-", "--format", "matrix"], stdin_text=g30_matrix)
     assert code == 0
@@ -294,6 +315,34 @@ def test_search_auto_passes_threads(monkeypatch):
     assert code == 0
     assert json.loads(out)["value"] == 6
     assert seen and set(seen) == {2}
+
+
+@pytest.mark.parametrize("flags", [["--r", "0", "--g", "3"],
+                                   ["--r", "3", "--g", "0"]],
+                         ids=["r0", "g0"])
+def test_search_auto_bad_parameters_are_usage_errors(flags):
+    code, out, err = cli(["search", "--auto"] + flags)
+    assert code == 2
+    assert err.startswith("usage error:") and out == ""
+
+
+def test_search_auto_below_bound_stays_inconclusive():
+    code, out, _ = cli(["search", "--r", "3", "--g", "3", "--auto",
+                        "--n-max", "5"])
+    assert code == 4
+    assert out.startswith("inconclusive:")
+
+
+@pytest.mark.parametrize("budget", [["--budget-nodes", "-5"],
+                                    ["--budget-secs", "-1"],
+                                    ["--budget-secs", "nan"]],
+                         ids=["nodes-negative", "secs-negative", "secs-nan"])
+@pytest.mark.parametrize("order", [["--n", "6"], ["--auto"]],
+                         ids=["fixed-order", "auto"])
+def test_bad_budget_is_usage_error(order, budget):
+    code, out, err = cli(["search", "--r", "3", "--g", "3"] + order + budget)
+    assert code == 2
+    assert err.startswith("usage error:") and "budget" in err and out == ""
 
 
 def _die(job):

@@ -251,6 +251,12 @@ def test_spec_validation():
         SearchSpec(r=0, g=3, n=4)
     with pytest.raises(ValueError):
         SearchSpec(r=1, g=3, n=4, mode="explore")
+    for budget in ({"node_budget": -5}, {"time_budget": -1.0},
+                   {"time_budget": float("nan")}):
+        with pytest.raises(ValueError, match="budget"):
+            SearchSpec(r=3, g=7, n=40, **budget)
+    # a zero budget is valid: the search stops before its first node
+    SearchSpec(r=3, g=7, n=40, node_budget=0, time_budget=0.0)
 
 
 def test_determine_cage_number_3_1_3():
