@@ -404,6 +404,8 @@ def _cmd_search(args, stdin, stdout, stderr) -> int:
         raise _UsageError("--threads must be >= 1")
     if args.auto:
         return _cmd_search_auto(args, stdout)
+    if args.n_max is not None:
+        raise _UsageError("--n does not take --n-max (it caps --auto)")
     mode = "enumerate" if args.enumerate_all else "decide"
     try:
         spec = SearchSpec(

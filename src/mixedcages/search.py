@@ -32,8 +32,9 @@ unsigned integers that hold the order (uint8 up to order 255).
 The skeleton group is one integer array of vertex images, built when a
 skeleton first needs it and only when its order is within
 ``CANONICITY_CAP``.  Mapping an edge list through every element at once
-gives the least image of its orbit, which decides the orderly test and
-keys the deduplication of enumerate emissions: two completions of one
+gives the least image of its orbit.  It decides the orderly test, whose
+completions are least images and so one per orbit, and it keys the
+deduplication of other enumerate emissions: two completions of one
 skeleton are isomorphic exactly when a skeleton automorphism maps one
 onto the other, because an isomorphism between them preserves the
 shared arcs.  So an enumeration checks the girth of, and canonically
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb as _comb
 
 import numpy as _np
@@ -392,6 +393,21 @@ def _skeleton_distances(
     return dist
 
 
+def _grow(out: list, dist, lo: int, head: tuple[int, ...], pool: list[int],
+          k: int) -> None:
+    """Append to ``out``, in lexicographic order, ``head`` extended by
+    every k-subset of the sorted ``pool`` (k >= 2) whose pairs a, b all
+    have ``dist(a, b) >= lo`` and ``dist(b, a) >= lo``."""
+    for p in range(len(pool) - k + 1):
+        a = pool[p]
+        rest = [b for b in pool[p + 1:]
+                if dist(a, b) >= lo and dist(b, a) >= lo]
+        if k == 2:
+            out.extend(head + (a, b) for b in rest)
+        elif len(rest) >= k - 1:
+            _grow(out, dist, lo, head + (a,), rest, k - 1)
+
+
 class _SkeletonSearch:
     """Suspendable edge-completion search over one arc skeleton.
 
@@ -443,8 +459,6 @@ class _SkeletonSearch:
         )
         self.orderly = self.policy == "lex" and self.use_group
         self._autos: _np.ndarray | None = None
-        # the least image of the orderly test's latest node
-        self._least: _np.ndarray | None = None
         self.stack: list[_Frame] = []
 
     def least_image(self, edges) -> _np.ndarray | None:
@@ -456,14 +470,6 @@ class _SkeletonSearch:
         if self._autos is None:
             self._autos = _skeleton_autos(self.skeleton.parts)
         return _least_image(self._autos, edges)
-
-    def orbit(self) -> bytes | None:
-        """Key of the current edge set's orbit under the skeleton group:
-        the bytes of its least image, or None when the group is larger
-        than CANONICITY_CAP.  Under the orderly test it is the image
-        that test computed for the node that completed the edge set."""
-        least = self._least if self.orderly else self.least_image(self.edges)
-        return None if least is None else least.tobytes()
 
     # -- state mutation
 
@@ -557,48 +563,19 @@ class _SkeletonSearch:
         put one of them within g-4 of v, and then it would not be a
         candidate.
 
-        A single missing edge needs no pair test.  A pool of at most
-        need + 1 candidates, the usual case under fail-first, has at
-        most need + 1 combinations: each, in lexicographic order, reads
-        its pairs from ``dist`` one by one and is kept when all of them
-        pass.  A larger pool builds the pair matrix once, and each
-        chosen candidate narrows the pool of later candidates to those
-        its row allows, which also yields the combinations in
-        lexicographic order.  Both paths apply the same threshold in
-        both directions to the same sorted candidates and keep exactly
-        the combinations without a rejected pair, so they return the
-        same list, and the girth-pruned count is the rest of the
-        C(c, need) raw ones.
+        A single missing edge needs no pair test.  Otherwise _grow picks
+        the sorted candidates in order, and each pick narrows the pool of
+        later candidates to those no path of length <= g-3 joins to it
+        either way, so the combinations come out in lexicographic order
+        and are exactly those without a rejected pair; the girth-pruned
+        count is the rest of the C(c, need) raw ones.
         """
         need = self.spec.r - int(self.deg[v])
-        idx = self._candidates(v, deficient, free)
-        cands = idx.tolist()
-        if len(cands) < need:
-            return [], 0
+        cands = self._candidates(v, deficient, free).tolist()
         if need == 1:
             return [(c,) for c in cands], 0
-        if len(cands) <= need + 1:
-            d, lo = self.dist, self.cap - 1
-            out = [c for c in combinations(cands, need)
-                   if all(d[a, b] >= lo and d[b, a] >= lo
-                          for a, b in combinations(c, 2))]
-            return out, _comb(len(cands), need) - len(out)
-        far = self.dist[idx[:, None], idx] >= self.cap - 1
-        ok = (far & far.T).tolist()
         out: list[tuple[int, ...]] = []
-
-        def grow(head: tuple[int, ...], pool, k: int) -> None:
-            # pool: positions compatible with all of head; k >= 2 to pick
-            for p in range(len(pool) - k + 1):
-                i = pool[p]
-                row = ok[i]
-                rest = [j for j in pool[p + 1:] if row[j]]
-                if k == 2:
-                    out.extend(head + (cands[i], cands[j]) for j in rest)
-                elif len(rest) >= k - 1:
-                    grow(head + (cands[i],), rest, k - 1)
-
-        grow((), range(len(cands)), need)
+        _grow(out, self.dist.item, self.cap - 1, (), cands, need)
         return out, _comb(len(cands), need) - len(out)
 
     def _expand(self) -> tuple[str, int]:
@@ -635,8 +612,8 @@ class _SkeletonSearch:
         self._add_batch(frame.vertex, combo)
         if self.orderly:
             n = self.n
-            self._least = self.least_image(self.edges)
-            if self._least.tolist() != [a * n + b for a, b in self.edges]:
+            least = self.least_image(self.edges)
+            if least.tolist() != [a * n + b for a, b in self.edges]:
                 self._pop_batch()
                 return None
         return self._expand()
@@ -647,8 +624,8 @@ class _SkeletonSearch:
         emit callback accepts a complete edge set (decide), or the
         skeleton is exhausted.  Returns ("found" | "paused" | "exhausted",
         nodes consumed this visit).  ``emit`` gets this search in each
-        complete state and reads what it needs: ``orbit()``, and
-        ``_graph()`` only for the edge sets it keeps.
+        complete state and reads what it needs: ``least_image(edges)``,
+        and ``_graph()`` only for the edge sets it keeps.
 
         The first visit expands the root, the bare skeleton, which costs
         no node.  It is never complete, since every vertex lacks all r
@@ -782,13 +759,14 @@ def _visit(job: tuple) -> tuple:
     Only verified witnesses are kept: regular (r, 1) with girth exactly
     g.  In decide mode the first one ends the visit ("found"); in
     enumerate mode each comes with its canonical encoding, which the
-    driver dedupes against every class seen so far.  An enumerate
-    emission whose least image under the skeleton group was seen earlier
-    in the visit is isomorphic to an earlier emission, so it shares that
-    one's degrees, girth and class and is dropped before its graph is
-    built; a skeleton whose group exceeds CANONICITY_CAP keeps every
-    emission that passes.  Module level, so a process pool can run it
-    on a copy of the search.
+    driver dedupes against every class seen so far.  An orderly search
+    emits each orbit's least image once, along its one path.  In any
+    other enumeration an emission whose least image under the skeleton
+    group was seen earlier in the visit is isomorphic to an earlier
+    emission, so it shares that one's degrees, girth and class and is
+    dropped before its graph is built; a skeleton whose group exceeds
+    CANONICITY_CAP keeps every emission that passes.  Module level, so
+    a process pool can run it on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
@@ -797,12 +775,12 @@ def _visit(job: tuple) -> tuple:
     orbits: set[bytes] = set()
 
     def emit(done: _SkeletonSearch) -> bool:
-        if spec.mode == "enumerate":
-            orbit = done.orbit()
-            if orbit is not None:
-                if orbit in orbits:
+        if spec.mode == "enumerate" and not done.orderly:
+            least = done.least_image(done.edges)
+            if least is not None:
+                if least.tobytes() in orbits:
                     return False
-                orbits.add(orbit)
+                orbits.add(least.tobytes())
         g = done._graph()
         if not _is_witness(spec, g):
             return False

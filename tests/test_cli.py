@@ -273,6 +273,12 @@ def test_usage_errors():
         ["search", "--r", "3", "--g", "6", "--n", "12", "--threads", "0"]
     )
     assert code == 2
+    # --n-max caps --auto only
+    code, out, err = cli(
+        ["search", "--r", "3", "--g", "3", "--n", "6", "--n-max", "2"]
+    )
+    assert code == 2
+    assert err.startswith("usage error:") and "--n-max" in err and out == ""
 
 
 def test_threads_budget_checkpoint_resume(tmp_path):

@@ -591,14 +591,27 @@ def _reference_combos(search, trans, v, cands):
     return out, comb(len(cands), need) - len(out)
 
 
-def test_combos_match_reference_on_search_states(monkeypatch):
-    """Every combination list of the (3,1,5)@20 decide search, a tree
-    whose pools run from exactly ``need`` candidates to many more,
-    equals the list recomputed with the pair filter on a copy of the
-    graph with v deleted, from candidates recounted from scratch; the
-    tree keeps its pinned statistics."""
+@pytest.mark.parametrize("kwargs,status,stats,pools", [
+    (dict(r=3, g=5, n=20), "exhausted",
+     SearchStats(nodes=9688, girth_prunes=8919, canonicity_prunes=0,
+                 infeasible_prunes=1759),
+     {"small", "large"}),
+    (dict(r=3, g=4, n=12, mode="enumerate", branch_policy="lex"), "found",
+     SearchStats(nodes=1509, girth_prunes=687, canonicity_prunes=366,
+                 infeasible_prunes=462),
+     {"single", "small", "large"}),
+], ids=["3-5-20-focus", "3-4-12-lex"])
+def test_combos_match_reference_on_search_states(monkeypatch, kwargs, status,
+                                                 stats, pools):
+    """Every combination list of a search tree equals the list recomputed
+    with the pair filter on a copy of the graph with v deleted, from
+    candidates recounted from scratch (above v under lex); the tree keeps
+    its pinned statistics.  The (3,1,5)@20 decide tree has pools of
+    ``need`` >= 2 from exactly ``need`` candidates to many more; the
+    (3,1,4)@12 lex enumeration adds pools of one missing edge and the
+    u > v candidate floor."""
     real = _SkeletonSearch._combos_for
-    pools = []
+    seen = set()
 
     def checked(search, v, deficient, free):
         got = real(search, v, deficient, free)
@@ -608,20 +621,20 @@ def test_combos_match_reference_on_search_states(monkeypatch):
             adj[a, b] = adj[b, a] = True
         trans = _arc_matrix(search.skeleton) | adj
         ref_free = _reference_free(search, trans, adj)
-        cands = [y for y in range(n)
-                 if search.deg[y] < search.spec.r and ref_free[v, y]]
+        floor = v if search.policy == "lex" else -1
+        cands = [y for y in range(n) if search.deg[y] < search.spec.r
+                 and ref_free[v, y] and y > floor]
         assert got == _reference_combos(search, trans, v, cands)
-        pools.append((search.spec.r - int(search.deg[v]), len(cands)))
+        need = search.spec.r - int(search.deg[v])
+        seen.add("single" if need == 1 else
+                 "small" if len(cands) <= need + 1 else "large")
         return got
 
     monkeypatch.setattr(_SkeletonSearch, "_combos_for", checked)
-    out = search_order(SearchSpec(r=3, g=5, n=20))
-    assert out.status == "exhausted"
-    assert out.stats == SearchStats(nodes=9688, girth_prunes=8919,
-                                    canonicity_prunes=0,
-                                    infeasible_prunes=1759)
-    assert any(need > 1 and c <= need + 1 for need, c in pools)
-    assert any(need > 1 and c > need + 1 for need, c in pools)
+    out = search_order(SearchSpec(**kwargs))
+    assert out.status == status
+    assert out.stats == stats
+    assert seen == pools
 
 
 def test_decide_order_30_tree_is_pinned():
@@ -834,11 +847,10 @@ def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
 def test_emissions_reuse_least_images_and_build_one_graph_per_orbit(
     monkeypatch
 ):
-    """Under lex each emission keys its orbit with the least image its
-    node's orderly test computed, so (3,1,4)@12 maps its edge lists
-    through the group once per node (1,509), not once more per emission;
-    under focus a graph is built only for the 29 emissions that reach a
-    new orbit, not for all 724."""
+    """Under lex the orderly test already admits one edge set per orbit,
+    so (3,1,4)@12 maps its edge lists through the group once per node
+    (1,509) and not once more per emission; under focus a graph is built
+    only for the 29 emissions that reach a new orbit, not for all 724."""
     calls = {"least": 0, "graph": 0}
 
     def counting(name, real):
