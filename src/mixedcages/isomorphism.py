@@ -23,17 +23,19 @@ automorphism.  At every level, the discovered automorphisms that fix
 the individualized prefix prune the cell's vertices that lie in the
 orbit of an already tried one.  The first path is the branch that
 individualizes the first vertex of each target cell down to the first
-leaf.  The group order is the product, over its levels, of that
-vertex's orbit size in its cell under the discovered automorphisms that
-fix the level's prefix; the ones that join two orbits at some level are
-the generators.  Plain closure enumeration serves small groups and
-tests as an independent check.
+leaf.  A leaf with the first leaf's encoding sends the search straight
+back to the level where its path left the first path (McKay,
+"Practical graph isomorphism", Congr. Numer. 30, 1981).  The group
+order is the product, over the first path's levels, of that vertex's
+orbit size in its cell under the discovered automorphisms that fix the
+level's prefix; the ones that join two orbits at some level are the
+generators.  Plain closure enumeration serves small groups and tests
+as an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .graphs import MixedGraph, Permutation, apply_permutation, degree_profile
 
@@ -119,19 +121,17 @@ def automorphism_group(g: MixedGraph) -> AutGroup:
     discovered automorphisms that fix p_i.  It is exact: every vertex
     of C_i is explored or pruned by a known automorphism that fixes
     p_i; an explored vertex in the true orbit reaches a leaf whose
-    encoding equals the first leaf's, and the automorphism recorded
-    there fixes p_i; so orbit-stabilizer applies down to the discrete
+    encoding equals the first leaf's (in its subtree only such a leaf
+    jumps, and pruning skips images of subtrees explored without one),
+    and the automorphism recorded there, before the jump back to level
+    i, fixes p_i; so orbit-stabilizer applies down to the discrete
     leaf.  The generators are the discovered automorphisms that, taken
     in sorted order, join two orbits at some level.  They give the same
     orbits at every level, so they generate the group; each is
-    re-verified against the graph.  The set need not be minimal: a
-    generator is kept when it joins two orbits at its level even if the
-    earlier ones already produce it, as (0 3) after (2 5) and
-    (0 2)(1 4)(3 5) for the two paths 0-1-3 and 2-4-5.
+    re-verified against the graph.  A generator is kept when it joins
+    two orbits at its level even if the earlier ones already produce
+    it, so the set need not be minimal (see AutGroup).
     """
-    special = _symmetric_special_case(g)
-    if special is not None:
-        return special
     _, _, autos, path = _ir_search(g)
     autos.sort()
     order = 1
@@ -316,41 +316,52 @@ def _ir_search(
     only one orbit representative per prefix-stabilizer orbit is
     explored.  The skipped subtrees contribute neither a smaller
     encoding nor automorphisms outside the group already generated.
+
+    Jump back: a leaf with the first leaf's encoding records the
+    automorphism that maps its path onto the first path; if the two
+    part at depth k, the levels deeper than k return at once and level
+    k goes on with its next vertex.  The subtree left behind is that
+    automorphism's preimage of the first path's explored subtree at
+    depth k + 1, so it holds no new encoding.
     """
     n = g.n
-    best: list[bytes | None] = [None]
-    best_perm: list[Permutation | None] = [None]
+    best: list[tuple[bytes, Permutation]] = []  # the least leaf so far
     seen: dict[bytes, tuple[int, ...]] = {}
     autos: list[_Perm] = []
     path: list[tuple[_Perm, list[int]]] = []
 
-    def leaf(cells: list[list[int]]) -> None:
+    def leaf(cells: list[list[int]]) -> bool:
+        """Record the leaf; True if it gave an automorphism onto the first."""
         pos = [0] * n
         for i, (v,) in enumerate(cells):
             pos[v] = i
         enc = _encode(g, pos)
         perm = tuple(pos)
-        if enc in seen:
-            other = seen[enc]
-            # apply(g, other) == apply(g, perm), so inv(other) . perm
-            # fixes g; record it
-            phi = _compose(_invert(other), perm)
-            if apply_permutation(g, Permutation(phi)) == g:
-                autos.append(phi)
-        else:
+        if not best or enc < best[0][0]:
+            best[:] = [(enc, Permutation(perm))]
+        if enc not in seen:
             seen[enc] = perm
-        if best[0] is None or enc < best[0]:
-            best[0] = enc
-            best_perm[0] = Permutation(perm)
+            return False
+        # equal encodings: inv(seen[enc]) . perm fixes g; record it
+        phi = _compose(_invert(seen[enc]), perm)
+        if apply_permutation(g, Permutation(phi)) != g:
+            return False
+        autos.append(phi)
+        # seen keeps insertion order: its first key is the first leaf's
+        return enc == next(iter(seen))
 
-    def descend(cells: list[list[int]], prefix: tuple[int, ...]) -> None:
+    def descend(cells: list[list[int]], prefix: tuple[int, ...]) -> int:
+        """Explore the node; return the depth to resume at (k on a jump)."""
+        depth = len(prefix)
         if len(cells) == n:
-            leaf(cells)
-            return
+            if not leaf(cells):
+                return depth
+            # the first level where this path left the first path
+            return next(k for k, v in enumerate(prefix) if v != path[k][1][0])
         # the first smallest non-singleton cell in color order
         cell = min((c for c in cells if len(c) > 1), key=len)
         i = cells.index(cell)
-        if best[0] is None:
+        if not best:
             path.append((prefix, cell))
         tried: list[int] = []
         autos_seen = -1
@@ -365,44 +376,18 @@ def _ir_search(
             tried.append(v)
             # individualize v: it goes first, ahead of the rest of its cell
             rest = [u for u in cell if u != v]
-            descend(
+            resume = descend(
                 _refine_cells(g, cells[:i] + [[v], rest] + cells[i + 1:]),
                 prefix + (v,),
             )
+            if resume < depth:
+                return resume
+        return depth
 
     descend(_refine_cells(g, _degree_cells(g)), ())
-    if best[0] is None or best_perm[0] is None:
+    if not best:
         raise RuntimeError("canonical labeling search reached no leaf")
-    return best[0], best_perm[0], autos, path
-
-
-def _symmetric_special_case(g: MixedGraph) -> AutGroup | None:
-    """Full symmetric group shortcuts for the all-or-nothing graphs.
-
-    The general path gets these right too (n! for every n tested), but
-    slowly: on the empty graph about 0.5 s at n = 20 and 4.5 s at
-    n = 30 (wall time, 2-vCPU Xeon host, Python 3.11.7), where this
-    shortcut is instant.
-    """
-    n = g.n
-    full_edges = n * (n - 1) // 2
-    if g.arcs:
-        return None
-    if len(g.edges) not in (0, full_edges):
-        return None
-    if n <= 2:
-        gens: tuple[Permutation, ...] = ()
-        if n == 2:
-            gens = (Permutation((1, 0)),)
-        return AutGroup(n=n, generators=gens, order=factorial(n))
-    swap = list(range(n))
-    swap[0], swap[1] = 1, 0
-    cycle = [(i + 1) % n for i in range(n)]
-    return AutGroup(
-        n=n,
-        generators=(Permutation(tuple(swap)), Permutation(tuple(cycle))),
-        order=factorial(n),
-    )
+    return (*best[0], autos, path)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,14 @@ def read_adjacency_matrix(
     With ``allow_header=True``, leading lines that do not parse as 0/1
     rows are skipped; each skipped line is flagged with a
     MatrixHeaderWarning rather than dropped silently.  A text with no
-    matrix rows raises MatrixParseError: nobody supplied a graph.
+    matrix rows raises MatrixParseError: nobody supplied a graph, and so
+    do bytes that are not ASCII.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MatrixParseError(f"undecodable bytes: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     rows: list[list[int]] = []

@@ -537,12 +537,8 @@ class _SkeletonSearch:
         """Deficient partners (``deficient`` is the mask ``deg < r``) that
         can take an edge to v without closing a cycle shorter than g
         (single-edge criterion, exact: ``free`` is the matrix of
-        _free_pairs).  Under "lex" the completion order restricts
-        partners to u > v."""
-        ok = free[v] & deficient
-        if self.policy == "lex":
-            ok[: v + 1] = False
-        return ok.nonzero()[0]
+        _free_pairs)."""
+        return (free[v] & deficient).nonzero()[0]
 
     def _combos_for(
         self, v: int, deficient: _np.ndarray, free: _np.ndarray

@@ -203,27 +203,54 @@ def test_aut_petersen_labeling_robust():
             assert apply_permutation(g, gen) == g
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_symmetric_shortcut_matches_general_path(monkeypatch, n):
-    import mixedcages.isomorphism as iso
+def _empty_and_complete(n):
+    return (
+        new_graph(n),
+        new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    )
 
-    monkeypatch.setattr(iso, "_symmetric_special_case", lambda g: None)
-    empty = new_graph(n)
-    complete = new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    for g in (empty, complete):
+
+@pytest.mark.parametrize("n", range(7))
+def test_symmetric_shortcut_matches_general_path(n):
+    # the empty and complete graphs take the one labeling search like
+    # every other graph and get the full symmetric group
+    for g in _empty_and_complete(n):
         group = automorphism_group(g)
         assert group.order == math.factorial(n)
         assert len(group.elements(cap=math.factorial(n))) == group.order
 
 
-def test_order_zero_graph_on_general_path(monkeypatch):
+def test_order_zero_graph_on_general_path():
     # the labeling search starts from no cells and reaches its one leaf
-    monkeypatch.setattr(isomorphism, "_symmetric_special_case", lambda g: None)
     g = new_graph(0)
     assert canonical_form(g).encoding == b""
     assert is_isomorphic(g, new_graph(0)) == (True, Permutation(()))
     group = automorphism_group(g)
     assert group.order == 1 and group.generators == ()
+
+
+def test_order_30_symmetric_graphs_jump_back_to_the_first_path():
+    """A leaf equivalent to the first leaf sends the search back to the
+    level where its path left the first path.  On the empty and complete
+    graphs of order 30 each of the first path's 29 levels then adds one
+    leaf to the first, 30 in all, and the group is still all of S30."""
+    real = isomorphism._encode
+    leaves = []
+
+    def counted(g, pos):
+        leaves.append(pos)
+        return real(g, pos)
+
+    for g in _empty_and_complete(30):
+        leaves.clear()
+        with mock.patch.object(isomorphism, "_encode", counted):
+            canonical_form(g)
+        assert len(leaves) == 30
+        group = automorphism_group(g)
+        assert group.order == math.factorial(30)
+        assert group.generators
+        for p in group.generators:
+            assert apply_permutation(g, p) == g
 
 
 def _labelled_digraph(g):

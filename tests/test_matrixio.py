@@ -51,6 +51,14 @@ def test_bad_token_rejected():
         read_adjacency_matrix("header line\n0 1\n1 0")
 
 
+def test_undecodable_bytes_rejected():
+    # the same text as str has a bad token; as bytes it does not decode
+    with pytest.raises(BadTokenError):
+        read_adjacency_matrix("0 1\n1 \xc3")
+    with pytest.raises(MatrixParseError, match="undecodable bytes"):
+        read_adjacency_matrix(b"0 1\n1 \xc3")
+
+
 def test_nonzero_diagonal_rejected():
     with pytest.raises(NonzeroDiagonalError):
         read_adjacency_matrix("1 0\n0 0")

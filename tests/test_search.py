@@ -605,11 +605,12 @@ def test_combos_match_reference_on_search_states(monkeypatch, kwargs, status,
                                                  stats, pools):
     """Every combination list of a search tree equals the list recomputed
     with the pair filter on a copy of the graph with v deleted, from
-    candidates recounted from scratch (above v under lex); the tree keeps
-    its pinned statistics.  The (3,1,5)@20 decide tree has pools of
-    ``need`` >= 2 from exactly ``need`` candidates to many more; the
-    (3,1,4)@12 lex enumeration adds pools of one missing edge and the
-    u > v candidate floor."""
+    candidates recounted from scratch; the tree keeps its pinned
+    statistics.  The (3,1,5)@20 decide tree has pools of ``need`` >= 2
+    from exactly ``need`` candidates to many more; the (3,1,4)@12 lex
+    enumeration adds pools of one missing edge, and its completed vertex
+    v is the least deficient one, so no partner it may take lies at or
+    below v."""
     real = _SkeletonSearch._combos_for
     seen = set()
 
@@ -621,9 +622,10 @@ def test_combos_match_reference_on_search_states(monkeypatch, kwargs, status,
             adj[a, b] = adj[b, a] = True
         trans = _arc_matrix(search.skeleton) | adj
         ref_free = _reference_free(search, trans, adj)
-        floor = v if search.policy == "lex" else -1
         cands = [y for y in range(n) if search.deg[y] < search.spec.r
-                 and ref_free[v, y] and y > floor]
+                 and ref_free[v, y]]
+        if search.policy == "lex":
+            assert all(y > v for y in cands)
         assert got == _reference_combos(search, trans, v, cands)
         need = search.spec.r - int(search.deg[v])
         seen.add("single" if need == 1 else
@@ -686,8 +688,7 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
     got_rows, got_slack = search._slack(deficient, got_free)
     assert got_rows.tolist() == rows and got_slack.tolist() == slack
     for x in rows:
-        floor = x if search.spec.effective_policy() == "lex" else -1
-        cands = [y for y in rows if free[x, y] and y > floor]
+        cands = [y for y in rows if free[x, y]]
         assert search._candidates(x, deficient, got_free).tolist() == cands
         if combos:
             assert search._combos_for(
