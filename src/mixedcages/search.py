@@ -32,13 +32,16 @@ unsigned integers that hold the order (uint8 up to order 255).
 The skeleton group is one integer array of vertex images, built when a
 skeleton first needs it and only when its order is within
 ``CANONICITY_CAP``.  Mapping an edge list through every element at once
-gives the least image of its orbit.  It decides the orderly test, whose
-completions are least images and so one per orbit, and it keys the
-deduplication of other enumerate emissions: two completions of one
+gives every image of it.  The least image decides the orderly test,
+whose completions are least images and so one per orbit.  Other
+enumerations dedupe their emissions by orbit: two completions of one
 skeleton are isomorphic exactly when a skeleton automorphism maps one
 onto the other, because an isomorphism between them preserves the
-shared arcs.  So an enumeration checks the girth of, and canonically
-labels, one graph per class, not every emission.
+shared arcs.  The first emission of an orbit stores the sorted codes of
+all its images, and each later one is a set lookup of its own, so an
+enumeration maps each orbit through the group once, and checks the
+girth of, and canonically labels, one graph per class, not every
+emission.
 
 One driver serves every run: it visits the pending skeletons in
 rounds, each visit a node quota on one skeleton, and merges the visits
@@ -331,32 +334,57 @@ def _skeleton_autos(parts: tuple[int, ...]) -> _np.ndarray:
     return _np.concatenate(blocks)
 
 
-def _least_image(autos: _np.ndarray, edges) -> _np.ndarray:
-    """Lexicographically least image of an edge list under the rows of
-    ``autos``.  Each row maps every edge to the code a*n+b of its image
-    {a, b}, a < b, and sorts its codes; the least sorted row is returned.
-    Edge sets in one orbit of the group get the same least image, and a
-    sorted edge list is least in its orbit iff its codes equal it.
+def _code_dtype(n: int):
+    """The narrowest signed integers that hold the edge codes a*n+b."""
+    return _smallest_dtype((_np.int16, _np.int32, _np.int64), n * n)
 
-    Only the rows whose least code is the overall least can win, so only
-    those are sorted and then narrowed column by column."""
+
+def _image_codes(autos: _np.ndarray, edges) -> _np.ndarray:
+    """Every image of an edge list under the rows of ``autos``: one row
+    per element, the code a*n+b of each image edge {a, b}, a < b, in
+    the order of ``edges``."""
     n = autos.shape[1]
     ends = _np.array(edges, dtype=_np.intp).reshape(-1, 2)
     a, b = autos[:, ends[:, 0]], autos[:, ends[:, 1]]
-    codes = _np.minimum(a, b).astype(
-        _smallest_dtype((_np.int16, _np.int32, _np.int64), n * n)
-    )
+    codes = _np.minimum(a, b).astype(_code_dtype(n))
     codes *= n
     codes += _np.maximum(a, b)
-    first = codes.min(axis=1, initial=n * n)
+    return codes
+
+
+def _edge_key(edges, n: int) -> bytes:
+    """Key of an edge list {a, b}, a < b: its codes a*n+b, sorted, as
+    bytes of _code_dtype(n)."""
+    return _np.array(
+        sorted(a * n + b for a, b in edges), dtype=_code_dtype(n)
+    ).tobytes()
+
+
+def _orbit_keys(autos: _np.ndarray, edges) -> list[bytes]:
+    """The _edge_key of every image of an edge list under the rows of
+    ``autos``, from one pass of _image_codes."""
+    codes = _image_codes(autos, edges)
+    codes.sort(axis=1)
+    return [row.tobytes() for row in codes]
+
+
+def _least_image(autos: _np.ndarray, edges) -> _np.ndarray:
+    """Lexicographically least image of an edge list under the rows of
+    ``autos``: the least of the sorted rows of _image_codes.  Edge sets
+    in one orbit of the group get the same least image, and a sorted
+    edge list is least in its orbit iff its codes equal it.
+
+    Only the rows whose least code is the overall least can win, so only
+    those are sorted.  One argmin then ranks them as byte strings: the
+    big-endian bytes of non-negative codes compare as the codes do."""
+    codes = _image_codes(autos, edges)
+    if not codes.shape[1]:
+        return codes[0]  # no bytes to compare
+    first = codes.min(axis=1)
     codes = codes[first == first.min()]
     codes.sort(axis=1)
-    for j in range(1, codes.shape[1]):
-        col = codes[:, j]
-        codes = codes[col == col.min()]
-        if len(codes) == 1:
-            break
-    return codes[0]
+    rows = codes.astype(codes.dtype.newbyteorder(">"))
+    return codes[rows.view(f"S{rows.itemsize * rows.shape[1]}").argmin()]
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +489,12 @@ class _SkeletonSearch:
         self._autos: _np.ndarray | None = None
         self.stack: list[_Frame] = []
 
-    def least_image(self, edges) -> _np.ndarray | None:
-        """The least image of ``edges`` under the skeleton group (see
-        _least_image), or None when the group is larger than
-        CANONICITY_CAP.  The group array is built on first use."""
-        if not self.use_group:
-            return None
-        if self._autos is None:
+    def group(self) -> _np.ndarray | None:
+        """The skeleton group array (_skeleton_autos), built on first
+        use, or None when the group is larger than CANONICITY_CAP."""
+        if self.use_group and self._autos is None:
             self._autos = _skeleton_autos(self.skeleton.parts)
-        return _least_image(self._autos, edges)
+        return self._autos
 
     # -- state mutation
 
@@ -608,7 +633,7 @@ class _SkeletonSearch:
         self._add_batch(frame.vertex, combo)
         if self.orderly:
             n = self.n
-            least = self.least_image(self.edges)
+            least = _least_image(self.group(), self.edges)
             if least.tolist() != [a * n + b for a, b in self.edges]:
                 self._pop_batch()
                 return None
@@ -620,8 +645,8 @@ class _SkeletonSearch:
         emit callback accepts a complete edge set (decide), or the
         skeleton is exhausted.  Returns ("found" | "paused" | "exhausted",
         nodes consumed this visit).  ``emit`` gets this search in each
-        complete state and reads what it needs: ``least_image(edges)``,
-        and ``_graph()`` only for the edge sets it keeps.
+        complete state and reads what it needs: ``edges`` and
+        ``group()``, and ``_graph()`` only for the edge sets it keeps.
 
         The first visit expands the root, the bare skeleton, which costs
         no node.  It is never complete, since every vertex lacks all r
@@ -756,11 +781,16 @@ def _visit(job: tuple) -> tuple:
     g.  In decide mode the first one ends the visit ("found"); in
     enumerate mode each comes with its canonical encoding, which the
     driver dedupes against every class seen so far.  An orderly search
-    emits each orbit's least image once, along its one path.  In any
-    other enumeration an emission whose least image under the skeleton
-    group was seen earlier in the visit is isomorphic to an earlier
-    emission, so it shares that one's degrees, girth and class and is
-    dropped before its graph is built; a skeleton whose group exceeds
+    emits each orbit's least image once, along its one path.  Any other
+    enumeration maps the first emission of each orbit through the
+    skeleton group once and keeps every image's key (_orbit_keys); a
+    later emission whose own key (_edge_key) is among them is
+    isomorphic to an earlier one, so it shares that one's degrees, girth
+    and class and is dropped before its graph is built.  A skeleton
+    automorphism keeps the arcs, the degrees and the girth, so every
+    image is itself a completion that the search emits: the keys are the
+    labeled completions of the orbits met so far, and each orbit costs
+    one pass over the group.  A skeleton whose group exceeds
     CANONICITY_CAP keeps every emission that passes.  Module level, so
     a process pool can run it on a copy of the search.
     """
@@ -768,15 +798,15 @@ def _visit(job: tuple) -> tuple:
     spec = search.spec
     stats = SearchStats()
     found: list[tuple[MixedGraph, bytes | None]] = []
-    orbits: set[bytes] = set()
+    keys: set[bytes] = set()
 
     def emit(done: _SkeletonSearch) -> bool:
         if spec.mode == "enumerate" and not done.orderly:
-            least = done.least_image(done.edges)
-            if least is not None:
-                if least.tobytes() in orbits:
+            autos = done.group()
+            if autos is not None:
+                if _edge_key(done.edges, done.n) in keys:
                     return False
-                orbits.add(least.tobytes())
+                keys.update(_orbit_keys(autos, done.edges))
         g = done._graph()
         if not _is_witness(spec, g):
             return False

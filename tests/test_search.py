@@ -29,7 +29,9 @@ from mixedcages import (
 import mixedcages.search as search_module
 from mixedcages.search import (
     _SkeletonSearch,
+    _edge_key,
     _least_image,
+    _orbit_keys,
     _skeleton_autos,
 )
 
@@ -130,9 +132,12 @@ def _is_lex_min_full(edges, autos):
 def test_least_image_matches_full_scan(data):
     """On random sorted edge sets of every size: the orderly test (own
     codes equal the least image) agrees with the full scan, the least
-    image is the least of all images, and every image of the set gets
-    the same least image."""
-    parts = data.draw(st.sampled_from([(4, 4), (4, 4, 3), (3, 3, 3), (5, 3)]))
+    image is the least of all images, every image of the set gets the
+    same least image, and the orbit keys are the keys of the images.
+    (4, 4, 4) has the most rows tied on the least code."""
+    parts = data.draw(st.sampled_from(
+        [(4, 4), (4, 4, 3), (3, 3, 3), (5, 3), (4, 4, 4)]
+    ))
     n = sum(parts)
     array = _skeleton_autos(parts)
     autos = array.tolist()
@@ -150,6 +155,15 @@ def test_least_image_matches_full_scan(data):
     assert least == [a * n + b for a, b in min(images)]
     for image in images:
         assert _least_image(array, image).tolist() == least
+    assert _orbit_keys(array, edges) == [_edge_key(i, n) for i in images]
+
+
+def test_least_image_of_no_edges():
+    """An empty edge list has no code columns to rank: its least image
+    and its one orbit key are empty."""
+    array = _skeleton_autos((4, 4, 4))
+    assert _least_image(array, []).tolist() == []
+    assert set(_orbit_keys(array, [])) == {_edge_key([], 12)} == {b""}
 
 
 def naive_enumerate(n, r, g):
@@ -850,9 +864,10 @@ def test_emissions_reuse_least_images_and_build_one_graph_per_orbit(
 ):
     """Under lex the orderly test already admits one edge set per orbit,
     so (3,1,4)@12 maps its edge lists through the group once per node
-    (1,509) and not once more per emission; under focus a graph is built
-    only for the 29 emissions that reach a new orbit, not for all 724."""
-    calls = {"least": 0, "graph": 0}
+    (1,509) and not once more per emission; under focus only the 29
+    emissions that reach a new orbit map theirs through the group and
+    build a graph, not all 724."""
+    calls = {"codes": 0, "graph": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -860,31 +875,34 @@ def test_emissions_reuse_least_images_and_build_one_graph_per_orbit(
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(search_module, "_least_image",
-                        counting("least", search_module._least_image))
+    monkeypatch.setattr(search_module, "_image_codes",
+                        counting("codes", search_module._image_codes))
     monkeypatch.setattr(search_module, "new_graph",
                         counting("graph", search_module.new_graph))
     lex = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate",
                                   branch_policy="lex"))
-    assert lex.stats.nodes == calls["least"] == 1509
-    calls.update(least=0, graph=0)
+    assert lex.stats.nodes == calls["codes"] == 1509
+    calls.update(codes=0, graph=0)
     focus = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate",
                                     branch_policy="focus"))
-    assert calls["graph"] == len(focus.witnesses) == 29
+    assert calls["codes"] == calls["graph"] == len(focus.witnesses) == 29
 
 
 def _completions_by_class(spec, skeleton):
     """Every verified completion the unpruned search reaches in one
-    skeleton, counted by canonical encoding, with one graph per class."""
-    counts, graphs = {}, {}
+    skeleton, by canonical encoding: the keys of the emitted edge sets,
+    one graph, and the orbit keys of the first emission."""
+    emitted, graphs, first_keys = {}, {}, {}
 
     def emit(done):
         g = done._graph()
         if (degree_profile(g).regular == (spec.r, 1)
                 and girth(g).girth == spec.g):
             enc = canonical_form(g).encoding
-            counts[enc] = counts.get(enc, 0) + 1
-            graphs.setdefault(enc, g)
+            emitted.setdefault(enc, []).append(_edge_key(done.edges, spec.n))
+            if enc not in graphs:
+                graphs[enc] = g
+                first_keys[enc] = set(_orbit_keys(done.group(), done.edges))
         return False
 
     stats = SearchStats()
@@ -892,21 +910,26 @@ def _completions_by_class(spec, skeleton):
         float("inf"), None, stats, emit
     )
     assert status == "exhausted"
-    return counts, graphs, stats
+    return emitted, graphs, first_keys, stats
 
 
 def _check_orbit_counts(spec, skeleton):
     """In each skeleton, a class with automorphism group A has exactly
     |G_skel| / |A| labeled completions: A is a subgroup of the group of
     the arc digraph, G_skel, and the completions of the class are one
-    orbit of G_skel.  Returns the labeled count and the class count."""
-    counts, graphs, stats = _completions_by_class(spec, skeleton)
+    orbit of G_skel.  So the orbit keys of the class's first emission,
+    which the emission dedupe stores, are exactly the keys of its
+    emitted edge sets.  Returns the labeled count and the class count."""
+    emitted, graphs, first_keys, stats = _completions_by_class(spec, skeleton)
     group = skeleton_group_order(skeleton.parts)
-    for enc, labeled in counts.items():
+    for enc, keys in emitted.items():
+        labeled = len(keys)
         aut = automorphism_group(graphs[enc]).order
         assert group % aut == 0
         assert labeled == group // aut, (skeleton.parts, labeled, group, aut)
-    return sum(counts.values()), len(counts), stats
+        assert first_keys[enc] == set(keys)
+        assert len(set(keys)) == labeled
+    return sum(map(len, emitted.values())), len(emitted), stats
 
 
 @pytest.mark.parametrize(
