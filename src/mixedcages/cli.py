@@ -187,19 +187,17 @@ def _build_parser() -> _Parser:
 
 
 def _read_graph(path: str, stdin, allow_header: bool, stderr) -> MixedGraph:
-    try:
-        if path == "-":
-            text = stdin.read()
-        else:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MatrixParseError(f"{path}: undecodable bytes: {exc}") from None
+    # bytes where the source has them: read_adjacency_matrix decodes
+    if path == "-":
+        data = getattr(stdin, "buffer", stdin).read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     if not allow_header:
-        return read_adjacency_matrix(text)
+        return read_adjacency_matrix(data)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        g = read_adjacency_matrix(text, allow_header=True)
+        g = read_adjacency_matrix(data, allow_header=True)
     for w in caught:
         print(f"note: {w.message}", file=stderr)
     return g

@@ -32,16 +32,19 @@ unsigned integers that hold the order (uint8 up to order 255).
 The skeleton group is one integer array of vertex images, built when a
 skeleton first needs it and only when its order is within
 ``CANONICITY_CAP``.  Mapping an edge list through every element at once
-gives every image of it.  The least image decides the orderly test,
-whose completions are least images and so one per orbit.  Other
-enumerations dedupe their emissions by orbit: two completions of one
+gives every image of it.  An isomorphism between two completions maps
+arc cycles onto arc cycles of the same length, so completions of
+different skeletons are never isomorphic, and two completions of one
 skeleton are isomorphic exactly when a skeleton automorphism maps one
-onto the other, because an isomorphism between them preserves the
-shared arcs.  The first emission of an orbit stores the sorted codes of
-all its images, and each later one is a set lookup of its own, so an
-enumeration maps each orbit through the group once, and checks the
-girth of, and canonically labels, one graph per class, not every
-emission.
+onto the other.  So the group names the classes and no canonical
+labeling runs inside the search.  The least image decides the orderly
+test, whose completions are least images and so one per orbit.  Other
+enumerations dedupe their emissions by orbit: the first emission of an
+orbit stores the sorted codes of all its images, and each later one is
+a set lookup of its own, so an enumeration maps each orbit through the
+group once and checks the girth of one graph per class, not every
+emission.  Only a skeleton whose group exceeds the cap labels every
+emission canonically and dedupes by encoding.
 
 One driver serves every run: it visits the pending skeletons in
 rounds, each visit a node quota on one skeleton, and merges the visits
@@ -487,6 +490,9 @@ class _SkeletonSearch:
         )
         self.orderly = self.policy == "lex" and self.use_group
         self._autos: _np.ndarray | None = None
+        # the _orbit_keys of every orbit a non-orderly enumeration has
+        # met; kept across visits, dropped once the skeleton is exhausted
+        self.keys: set[bytes] = set()
         self.stack: list[_Frame] = []
 
     def group(self) -> _np.ndarray | None:
@@ -645,8 +651,8 @@ class _SkeletonSearch:
         emit callback accepts a complete edge set (decide), or the
         skeleton is exhausted.  Returns ("found" | "paused" | "exhausted",
         nodes consumed this visit).  ``emit`` gets this search in each
-        complete state and reads what it needs: ``edges`` and
-        ``group()``, and ``_graph()`` only for the edge sets it keeps.
+        complete state and reads what it needs: ``edges``, ``group()``
+        and ``keys``, and ``_graph()`` only for the edge sets it keeps.
 
         The first visit expands the root, the bare skeleton, which costs
         no node.  It is never complete, since every vertex lacks all r
@@ -694,6 +700,7 @@ class _SkeletonSearch:
                 if done:
                     return "found", used
         self.exhausted = True
+        self.keys = set()
         return "exhausted", used
 
     def _graph(self) -> MixedGraph:
@@ -762,6 +769,21 @@ class _SkeletonSearch:
                 )
             expanded, _ = res
 
+    def restore_keys(self, witnesses: list[MixedGraph]) -> None:
+        """Rebuild ``keys`` after restore() from a checkpoint's witnesses:
+        the orbits of those whose arcs are this skeleton's, the classes
+        its earlier visits kept.  An orbit they met that failed the
+        witness test is left out; its next member fails the test again.
+        A decide checkpoint records no witnesses, so nothing is rebuilt."""
+        if self.exhausted or self.orderly:
+            return
+        arcs = frozenset(self.skeleton.arcs)
+        mine = [w for w in witnesses if w.arcs == arcs]
+        autos = self.group() if mine else None
+        if autos is not None:
+            for w in mine:
+                self.keys.update(_orbit_keys(autos, w.sorted_edges()))
+
 
 # ---------------------------------------------------------------------------
 # engine
@@ -778,42 +800,44 @@ def _visit(job: tuple) -> tuple:
     ``(search, status, nodes used, visit stats, completed graphs)`` out.
 
     Only verified witnesses are kept: regular (r, 1) with girth exactly
-    g.  In decide mode the first one ends the visit ("found"); in
-    enumerate mode each comes with its canonical encoding, which the
-    driver dedupes against every class seen so far.  An orderly search
-    emits each orbit's least image once, along its one path.  Any other
+    g.  In decide mode the first one ends the visit ("found").  In
+    enumerate mode the skeleton group names the classes: completions of
+    different skeletons are never isomorphic, and within one skeleton
+    the classes are the orbits of its group.  An orderly search emits
+    each orbit's least image once, along its one path.  Any other
     enumeration maps the first emission of each orbit through the
-    skeleton group once and keeps every image's key (_orbit_keys); a
-    later emission whose own key (_edge_key) is among them is
-    isomorphic to an earlier one, so it shares that one's degrees, girth
-    and class and is dropped before its graph is built.  A skeleton
-    automorphism keeps the arcs, the degrees and the girth, so every
-    image is itself a completion that the search emits: the keys are the
-    labeled completions of the orbits met so far, and each orbit costs
-    one pass over the group.  A skeleton whose group exceeds
-    CANONICITY_CAP keeps every emission that passes.  Module level, so
-    a process pool can run it on a copy of the search.
+    skeleton group once and adds every image's key (_orbit_keys) to the
+    search's ``keys``; a later emission whose own key (_edge_key) is
+    among them is isomorphic to an earlier one, so it shares that one's
+    degrees, girth and class and is dropped before its graph is built.
+    A skeleton automorphism keeps the arcs, the degrees and the girth,
+    so every image is itself a completion that the search emits: the
+    keys are the labeled completions of the orbits met so far, and each
+    orbit costs one pass over the group.  Such witnesses come with no
+    encoding, and the driver keeps them all.  Only a skeleton whose
+    group exceeds CANONICITY_CAP labels each witness canonically, and
+    the driver dedupes those encodings against every class seen so far.
+    Module level, so a process pool can run it on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
     stats = SearchStats()
     found: list[tuple[MixedGraph, bytes | None]] = []
-    keys: set[bytes] = set()
 
     def emit(done: _SkeletonSearch) -> bool:
-        if spec.mode == "enumerate" and not done.orderly:
-            autos = done.group()
-            if autos is not None:
-                if _edge_key(done.edges, done.n) in keys:
-                    return False
-                keys.update(_orbit_keys(autos, done.edges))
+        autos = done.group() if spec.mode == "enumerate" else None
+        if autos is not None and not done.orderly:
+            if _edge_key(done.edges, done.n) in done.keys:
+                return False
+            done.keys.update(_orbit_keys(autos, done.edges))
         g = done._graph()
         if not _is_witness(spec, g):
             return False
         if spec.mode == "decide":
             found.append((g, None))
             return True
-        found.append((g, canonical_form(g).encoding))
+        found.append((g, None if autos is not None
+                      else canonical_form(g).encoding))
         return False
 
     status, used = search.run(quota, deadline, stats, emit)
@@ -849,7 +873,8 @@ def search_order(
         return SearchOutcome("exhausted", [], stats)
     searches = [_SkeletonSearch(spec, sk) for sk in skeletons]
     witnesses: list[MixedGraph] = []
-    seen_forms: set[bytes] = set()
+    # each witness's canonical encoding, or None where a group named it
+    labels: list[bytes | None] = []
     cursor = 0
     visit_quota_left: float | None = None
     if checkpoint is not None:
@@ -860,11 +885,13 @@ def search_order(
             forms = [bytes.fromhex(h) for h in checkpoint["seen_forms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc!r}") from None
-        seen_forms = _checked_forms(spec, witnesses, forms)
+        labels = _checked_forms(spec, witnesses, forms)
         for search, st in zip(searches, checkpoint["skeletons"]):
             search.restore(st)
+            search.restore_keys(witnesses)
         cursor = checkpoint["cursor"]
         visit_quota_left = checkpoint["visit_quota_left"]
+    seen_forms = set(labels)
 
     deadline = None
     if spec.time_budget is not None:
@@ -889,7 +916,10 @@ def search_order(
             "stats": stats.as_dict(),
             "skeletons": [s.to_state() for s in searches],
             "witnesses": [graph_payload(w) for w in witnesses],
-            "seen_forms": sorted(f.hex() for f in seen_forms),
+            "seen_forms": sorted(
+                (enc or canonical_form(w).encoding).hex()
+                for w, enc in zip(witnesses, labels)
+            ),
         })
 
     def drive(mapper) -> SearchOutcome:
@@ -933,9 +963,13 @@ def search_order(
                     witnesses.extend(g for g, _ in found)
                     return SearchOutcome("found", witnesses, stats)
                 for g, enc in found:
-                    if enc not in seen_forms:
+                    # no encoding: the skeleton group has named the class
+                    if enc is not None:
+                        if enc in seen_forms:
+                            continue
                         seen_forms.add(enc)
-                        witnesses.append(g)
+                    witnesses.append(g)
+                    labels.append(enc)
                 if status == "paused" and used < quota:
                     # stopped by the global budget or the deadline
                     return cut(idx, quota - used)
@@ -984,11 +1018,12 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
 
 def _checked_forms(
     spec: SearchSpec, witnesses: list[MixedGraph], forms: list[bytes]
-) -> set[bytes]:
-    """The set of a checkpoint's ``forms`` when its ``witnesses`` have
-    order n and pass _is_witness and ``forms`` are their canonical
-    encodings, one per witness, as the driver records them together; a
-    decide checkpoint has neither.  Raises CheckpointError otherwise."""
+) -> list[bytes]:
+    """The canonical encodings of a checkpoint's ``witnesses``, in their
+    order, when the witnesses have order n and pass _is_witness and
+    ``forms`` holds those encodings, one per witness, as the driver
+    records them together; a decide checkpoint has neither.  Raises
+    CheckpointError otherwise."""
     if spec.mode == "decide" and witnesses:
         raise CheckpointError("decide checkpoint records witnesses")
     for i, w in enumerate(witnesses):
@@ -997,13 +1032,13 @@ def _checked_forms(
                 f"checkpoint witness {i} is not an "
                 f"({spec.r},1,{spec.g})-graph of order {spec.n}"
             )
-    encodings = sorted(canonical_form(w).encoding for w in witnesses)
-    if encodings != sorted(forms) or len(set(forms)) != len(forms):
+    encodings = [canonical_form(w).encoding for w in witnesses]
+    if sorted(encodings) != sorted(forms) or len(set(forms)) != len(forms):
         raise CheckpointError(
             "checkpoint seen_forms are not its witnesses' classes, "
             "one per witness"
         )
-    return set(forms)
+    return encodings
 
 
 def determine_cage_number(

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -311,9 +312,10 @@ def test_checkpoint_resume_matches_uninterrupted():
     )
     assert resumed.status == full.status
     assert resumed.stats.as_dict() == full.stats.as_dict()
-    assert {canonical_form(w).encoding for w in resumed.witnesses} == {
-        canonical_form(w).encoding for w in full.witnesses
-    }
+    # edge lists in order: a set of encodings would hide a duplicate
+    assert [w.sorted_edges() for w in resumed.witnesses] == [
+        w.sorted_edges() for w in full.witnesses
+    ]
 
 
 def test_chained_checkpoint_resume():
@@ -410,9 +412,9 @@ def test_parallel_matches_sequential():
         SearchSpec(r=3, g=4, n=12, mode="enumerate"), workers=2
     )
     assert par.status == seq.status
-    assert {canonical_form(w).encoding for w in par.witnesses} == {
-        canonical_form(w).encoding for w in seq.witnesses
-    }
+    assert [w.sorted_edges() for w in par.witnesses] == [
+        w.sorted_edges() for w in seq.witnesses
+    ]
     assert par.stats.as_dict() == seq.stats.as_dict()
 
 
@@ -831,12 +833,28 @@ PINNED_STATS = {
 }
 
 
+def _resume_chain(spec, cuts):
+    """Run spec cut at each node count of ``cuts`` in turn, every hop
+    resumed from the previous hop's checkpoint after a JSON round trip,
+    then to the end.  Returns the last outcome and the checkpoints."""
+    out = search_order(dataclasses.replace(spec, node_budget=cuts[0]))
+    checkpoints = []
+    for budget in cuts[1:] + (None,):
+        assert out.status == "budget_exceeded", (spec, budget)
+        checkpoints.append(json.loads(json.dumps(out.checkpoint)))
+        out = search_order(dataclasses.replace(spec, node_budget=budget),
+                           checkpoint=checkpoints[-1])
+    return out, checkpoints
+
+
 @pytest.mark.parametrize("policy", sorted(PINNED_WITNESSES))
 def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
     """Witnesses keep their edge lists and order, and the tree its
-    statistics; each class is labeled canonically once; without the
-    group array (CANONICITY_CAP of 1) the witnesses are the same, and so
-    are the statistics of the focus tree, which rejects no isomorphs."""
+    statistics; the skeleton group names every class, so the search
+    labels none canonically.  Without the group array (CANONICITY_CAP of
+    1) every witness is labeled and deduped by encoding, also across
+    budget cuts, and the witnesses are the same, and so are the
+    statistics of the focus tree, which rejects no isomorphs."""
     labeled = []
 
     def spy(g):
@@ -849,14 +867,66 @@ def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
     assert _witness_digest(out.witnesses) == PINNED_WITNESSES[policy]
     assert out.stats == PINNED_STATS[policy]
     assert len(out.witnesses) == 29
-    assert len(labeled) == 29
-    labeled.clear()
+    assert len(labeled) == 0
     monkeypatch.setattr(search_module, "CANONICITY_CAP", 1)
     plain = search_order(spec)
     assert _witness_digest(plain.witnesses) == PINNED_WITNESSES[policy]
     assert len(labeled) == 724
     if policy == "focus":
         assert plain.stats == out.stats
+    chain, checkpoints = _resume_chain(spec, (2000, 4000, 6000))
+    assert _witness_digest(chain.witnesses) == PINNED_WITNESSES[policy]
+    assert chain.stats == plain.stats
+    assert all(len(cp["seen_forms"]) == len(cp["witnesses"]) > 0
+               for cp in checkpoints)
+
+
+# node counts inside the (12,), (8,4), (6,6) and (4,4,4) skeletons of the
+# (3,1,4)@12 focus tree
+FOCUS_CUTS = (500, 1500, 3000, 4500)
+
+
+def test_focus_resume_chain_restores_orbit_keys(monkeypatch):
+    """A resumed focus enumeration rebuilds each skeleton's orbit keys
+    from the checkpoint witnesses on it, so a class whose orbit
+    straddles a cut is not emitted twice: a chain cut inside four
+    skeletons ends with the uninterrupted witness list and statistics.
+    A resume with no nodes left stops before its first visit, holding
+    the searches as the next hop starts; their keys are exactly the
+    orbits of the checkpoint witnesses on their skeletons (none once a
+    skeleton is exhausted), and the checkpoint it writes is unchanged."""
+    spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="focus")
+    out, checkpoints = _resume_chain(spec, FOCUS_CUTS)
+    assert _witness_digest(out.witnesses) == PINNED_WITNESSES["focus"]
+    assert out.stats == PINNED_STATS["focus"]
+    live = []
+
+    class Recording(_SkeletonSearch):
+        def __init__(self, spec, skeleton):
+            super().__init__(spec, skeleton)
+            live.append(self)
+
+    monkeypatch.setattr(search_module, "_SkeletonSearch", Recording)
+    restored_keys = 0
+    for cp in checkpoints:
+        live.clear()
+        nodes = cp["stats"]["nodes"]
+        held = search_order(dataclasses.replace(spec, node_budget=nodes),
+                            checkpoint=cp)
+        assert held.checkpoint == cp
+        witnesses = [search_module.graph_from_payload(w)
+                     for w in cp["witnesses"]]
+        for search, state in zip(live, cp["skeletons"]):
+            arcs = frozenset(search.skeleton.arcs)
+            autos = _skeleton_autos(search.skeleton.parts)
+            expected = set()
+            if not state["exhausted"]:
+                for w in witnesses:
+                    if w.arcs == arcs:
+                        expected.update(_orbit_keys(autos, w.sorted_edges()))
+            assert search.keys == expected, search.skeleton.parts
+            restored_keys += len(expected)
+    assert restored_keys > 0
 
 
 def test_emissions_reuse_least_images_and_build_one_graph_per_orbit(
