@@ -187,17 +187,23 @@ def _build_parser() -> _Parser:
 
 
 def _read_graph(path: str, stdin, allow_header: bool, stderr) -> MixedGraph:
+    """The graph in the matrix file ``path`` ("-" for stdin).  A parse
+    error is re-raised as its own class with the file named first."""
     # bytes where the source has them: read_adjacency_matrix decodes
     if path == "-":
         data = getattr(stdin, "buffer", stdin).read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    if not allow_header:
-        return read_adjacency_matrix(data)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = read_adjacency_matrix(data, allow_header=True)
+    try:
+        if not allow_header:
+            return read_adjacency_matrix(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = read_adjacency_matrix(data, allow_header=True)
+    except MatrixParseError as exc:
+        name = "<stdin>" if path == "-" else path
+        raise type(exc)(f"{name}: {exc}") from None
     for w in caught:
         print(f"note: {w.message}", file=stderr)
     return g

@@ -22,12 +22,15 @@ distance matrix that each completed vertex updates once for its whole
 batch of new edges and backtracking restores from an undo stack;
 degree-demand feasibility against the partners still joinable at
 girth-compatible distance, whose matrix of free pairs each node derives
-from the distances; and a parity cut.  Each node counts the free
+from the distances; and a parity cut.  The degrees, the mask of
+deficient vertices and a slack base are kept across nodes and updated
+only at the vertices a batch touches.  Each node counts the free
 deficient partners of every vertex with one integer matrix-vector
-product, which serves the feasibility cut and the fail-first choice
-alike.  The distance matrix holds the narrowest signed integers its
-update sums fit (int8 up to girth 64), and the counts the narrowest
-unsigned integers that hold the order (uint8 up to order 255).
+product and adds the base, which serves the feasibility cut and the
+fail-first choice alike.  The distance matrix holds the narrowest
+signed integers its update sums fit (int8 up to girth 64), and the
+counts the narrowest unsigned integers that hold the order (uint8 up
+to order 255).
 
 The skeleton group is one integer array of vertex images, built when a
 skeleton first needs it and only when its order is within
@@ -459,12 +462,21 @@ class _SkeletonSearch:
     Capped inputs give exact sums below the cap.  One undo entry per
     batch keeps the replaced matrix.
 
-    Each node computes the mask of deficient vertices once and counts
-    every vertex's free deficient partners with one integer
-    matrix-vector product.  Both dtypes follow from the input size:
-    ``dist`` is the smallest signed type holding 2(g-1)+1, the largest
-    sum the update forms (int8 up to g = 64), and the counts the
-    smallest unsigned type holding n (uint8 up to n = 255).
+    A batch changes the degrees of v and its partners only, so the
+    degree state is kept across nodes and updated at those vertices
+    alone, by _shift on add and undo: the degrees (a list), the mask of
+    deficient vertices (``deg < r``), a slack base (deg - r for a
+    deficient vertex, n for a complete one) and the number of deficient
+    vertices.  A node with none left is complete before any free pair is
+    derived.  Otherwise one integer matrix-vector product counts every
+    vertex's free deficient partners, and adding the base gives every
+    vertex's slack (_slack): a deficient vertex reads at most n - 2 and
+    a complete one at least n, so one argmin over all n vertices finds
+    the first deficient vertex of least slack.  The dtypes follow from
+    the input size: ``dist`` is the smallest signed type holding
+    2(g-1)+1, the largest sum the update forms (int8 up to g = 64), the
+    counts the smallest unsigned type holding n (uint8 up to n = 255),
+    and the base the smallest signed type holding n and r.
     """
 
     def __init__(self, spec: SearchSpec, skeleton: ArcSkeleton) -> None:
@@ -481,7 +493,14 @@ class _SkeletonSearch:
             (_np.uint8, _np.uint16, _np.uint32, _np.uint64), n
         )
         self._undo: list[tuple] = []
-        self.deg = _np.zeros(n, dtype=_np.int32)
+        # the degree state of the class docstring, kept by _shift
+        r = spec.r
+        self.deg = [0] * n
+        self.deficient = _np.ones(n, dtype=bool)
+        self.base = _np.full(n, -r, dtype=_smallest_dtype(
+            (_np.int8, _np.int16, _np.int32, _np.int64), max(n, r)
+        ))
+        self.n_deficient = n
         self.edges: list[Pair] = []  # under "lex" policy: stays sorted
         self.exhausted = False
         self.policy = spec.effective_policy()
@@ -518,19 +537,32 @@ class _SkeletonSearch:
         via = to_v[:, None] + from_v
         self._undo.append((d, v, partners))
         self.dist = _np.minimum(d, via, out=via)
-        deg = self.deg
-        for u in partners:
-            deg[u] += 1
-        deg[v] += len(partners)
+        self._shift(v, partners, 1)
         self.edges.extend((v, u) if v < u else (u, v) for u in partners)
 
     def _pop_batch(self) -> None:
         self.dist, v, partners = self._undo.pop()
         del self.edges[-len(partners):]
-        deg = self.deg
-        for u in partners:
-            deg[u] -= 1
-        deg[v] -= len(partners)
+        self._shift(v, partners, -1)
+
+    def _shift(self, v: int, partners: tuple[int, ...], step: int) -> None:
+        """Move the degree of v by ``step`` per partner and each
+        partner's by ``step``, with the slack bases of those vertices,
+        and their mask bits and the deficient count where they cross r."""
+        r, deg = self.spec.r, self.deg
+        for x in (v, *partners):
+            was = deg[x] < r
+            d = deg[x] = deg[x] + (step * len(partners) if x == v else step)
+            if d < r:
+                self.base[x] = d - r
+                if not was:
+                    self.deficient[x] = True
+                    self.n_deficient += 1
+            else:
+                self.base[x] = self.n
+                if was:
+                    self.deficient[x] = False
+                    self.n_deficient -= 1
 
     # -- search proper
 
@@ -547,32 +579,31 @@ class _SkeletonSearch:
                 free[a, b] = free[b, a] = False
         return free
 
-    def _slack(
-        self, deficient: _np.ndarray, free: _np.ndarray
-    ) -> tuple[_np.ndarray, _np.ndarray]:
-        """Deficient vertices, and for each the number of deficient
-        partners it could still take at girth-compatible distance minus
-        its remaining demand.  ``deficient`` is the mask ``deg < r`` and
-        ``free`` the matrix of _free_pairs."""
-        r = self.spec.r
-        # the product sums in the wider dtype, the one that holds n
-        counts = free.view(_np.uint8) @ deficient.astype(
+    def _slack(self, free: _np.ndarray) -> _np.ndarray:
+        """Every vertex's slack: for a deficient vertex, the number of
+        deficient partners it could still take at girth-compatible
+        distance minus its remaining demand; for a complete one, at least
+        n.  ``free`` is the matrix of _free_pairs.
+
+        One product counts the free deficient partners, and the slack
+        base adds deg - r, or n for a complete vertex.  A deficient
+        vertex has at most n - 1 free partners and lacks an edge, so its
+        slack is at most n - 2, below every complete vertex's."""
+        # the product sums in the count dtype, the one that holds n; the
+        # signed base widens the sum
+        counts = free.view(_np.uint8) @ self.deficient.astype(
             self._count_dtype
         )
-        rows = deficient.nonzero()[0]
-        return rows, (counts + self.deg)[rows] - r
+        return counts + self.base
 
-    def _candidates(
-        self, v: int, deficient: _np.ndarray, free: _np.ndarray
-    ) -> _np.ndarray:
-        """Deficient partners (``deficient`` is the mask ``deg < r``) that
-        can take an edge to v without closing a cycle shorter than g
-        (single-edge criterion, exact: ``free`` is the matrix of
-        _free_pairs)."""
-        return (free[v] & deficient).nonzero()[0]
+    def _candidates(self, v: int, free: _np.ndarray) -> _np.ndarray:
+        """Deficient partners that can take an edge to v without closing
+        a cycle shorter than g (single-edge criterion, exact: ``free`` is
+        the matrix of _free_pairs)."""
+        return (free[v] & self.deficient).nonzero()[0]
 
     def _combos_for(
-        self, v: int, deficient: _np.ndarray, free: _np.ndarray
+        self, v: int, free: _np.ndarray
     ) -> tuple[list[tuple[int, ...]], int]:
         """Sorted partner combinations for completing vertex v, plus the
         count of raw combinations eliminated by girth constraints.
@@ -597,8 +628,8 @@ class _SkeletonSearch:
         and are exactly those without a rejected pair; the girth-pruned
         count is the rest of the C(c, need) raw ones.
         """
-        need = self.spec.r - int(self.deg[v])
-        cands = self._candidates(v, deficient, free).tolist()
+        need = self.spec.r - self.deg[v]
+        cands = self._candidates(v, free).tolist()
         if need == 1:
             return [(c,) for c in cands], 0
         out: list[tuple[int, ...]] = []
@@ -609,23 +640,26 @@ class _SkeletonSearch:
         """Test the current state and push its frame.
 
         Returns ("pushed" | "infeasible" | "complete", girth-pruned
-        combination count).  "infeasible": some deficient vertex sees
-        fewer girth-compatible deficient partners than it still needs.
-        One slack count serves that test and the "focus" choice of the
-        vertex to complete next, the first with the least slack; "lex"
-        completes the least-index deficient vertex, whose partners then
-        all sit above it, keeping the edge list sorted.
+        combination count).  "complete" is read off the deficient count
+        before any free pair is derived.  "infeasible": some deficient
+        vertex sees fewer girth-compatible deficient partners than it
+        still needs.  One slack count over all n vertices serves that
+        test and the "focus" choice of the vertex to complete next, the
+        first with the least slack: a complete vertex reads at least n
+        and a deficient one at most n - 2, so the argmin over all
+        vertices is the argmin over the deficient ones.  "lex" completes
+        the least-index deficient vertex, whose partners then all sit
+        above it, keeping the edge list sorted.
         """
-        deficient = self.deg < self.spec.r
-        free = self._free_pairs()
-        rows, slack = self._slack(deficient, free)
-        if len(rows) == 0:
+        if not self.n_deficient:
             return "complete", 0
+        free = self._free_pairs()
+        slack = self._slack(free)
         least = slack.argmin()
         if slack[least] < 0:
             return "infeasible", 0
-        v = int(rows[0] if self.policy == "lex" else rows[least])
-        combos, pruned = self._combos_for(v, deficient, free)
+        v = int(self.deficient.argmax() if self.policy == "lex" else least)
+        combos, pruned = self._combos_for(v, free)
         self.stack.append(_Frame(v, combos))
         return "pushed", pruned
 

@@ -2,12 +2,14 @@ import io
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
 import mixedcages.search as search_module
 from mixedcages import SearchSpec, canonical_form, search_order
-from mixedcages.cli import run
+from mixedcages.cli import _read_graph, run
+from mixedcages.matrixio import NonSquareError
 
 
 def cli(args, stdin_text=""):
@@ -166,6 +168,34 @@ def test_undecodable_matrix_is_parse_error(tmp_path, command, source):
     code = run(args, stdin=stdin, stdout=out, stderr=err)
     assert code == 3
     assert err.getvalue().startswith("error:") and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("bad_first", [False, True], ids=["GOOD-BAD", "BAD-GOOD"])
+def test_iso_parse_error_names_the_bad_file(tmp_path, bad_first):
+    good = tmp_path / "good.txt"
+    good.write_text("0 1\n1 0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1\n1 0 0\n")
+    files = [str(bad), str(good)] if bad_first else [str(good), str(bad)]
+    code, out, err = cli(["iso", *files])
+    assert code == 3 and out == ""
+    assert err == f"error: {bad}: row 2 has 3 entries, expected 2\n"
+    assert str(good) not in err
+
+
+def test_stdin_parse_error_names_stdin(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("0 1\n1 0\n")
+    code, out, err = cli(["iso", "-", str(good)], stdin_text="0 1\n1 0 0\n")
+    assert code == 3 and out == ""
+    assert err == "error: <stdin>: row 2 has 3 entries, expected 2\n"
+
+
+def test_named_parse_error_keeps_its_class(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1\n1 0 0\n")
+    with pytest.raises(NonSquareError, match=f"^{re.escape(str(bad))}: row 2"):
+        _read_graph(str(bad), io.StringIO(), False, io.StringIO())
 
 
 def test_export_round_trip(g30_matrix):

@@ -630,8 +630,8 @@ def test_combos_match_reference_on_search_states(monkeypatch, kwargs, status,
     real = _SkeletonSearch._combos_for
     seen = set()
 
-    def checked(search, v, deficient, free):
-        got = real(search, v, deficient, free)
+    def checked(search, v, free):
+        got = real(search, v, free)
         n = search.n
         adj = np.zeros((n, n), dtype=bool)
         for a, b in search.edges:
@@ -678,9 +678,13 @@ def _arc_matrix(skeleton):
 
 
 def _check_against_recount(search, arc_mat, batches, combos=True):
-    """The edges, degrees, distances, free pairs, slack, candidates and
-    (with ``combos``) combinations of ``search`` equal a from-scratch
-    recount of the skeleton arcs plus the edge batches."""
+    """The edges, degree state (degrees, deficient mask, slack base and
+    deficient count), distances, free pairs, slack, candidates and (with
+    ``combos``) combinations of ``search`` equal a from-scratch recount
+    of the skeleton arcs plus the edge batches.  Every complete vertex
+    reads a slack of at least n, above every deficient one, so the
+    argmin over all vertices is the first deficient one of least
+    slack."""
     n, r, g = search.n, search.spec.r, search.spec.g
     adj = np.zeros((n, n), dtype=bool)
     deg = np.zeros(n, dtype=int)
@@ -690,7 +694,11 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
             deg[u] += 1
         deg[v] += len(partners)
     assert sorted(search.edges) == sorted(zip(*np.nonzero(np.triu(adj))))
-    assert search.deg.tolist() == deg.tolist()
+    mask = deg < r
+    assert search.deg == deg.tolist()
+    assert search.deficient.tolist() == mask.tolist()
+    assert search.base.tolist() == np.where(mask, deg - r, n).tolist()
+    assert search.n_deficient == int(mask.sum())
     trans = arc_mat | adj
     assert (search.dist == _reference_dist(trans, g - 1)).all()
     free = _reference_free(search, trans, adj)
@@ -700,15 +708,19 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
     slack = [
         sum(1 for y in rows if free[x, y]) - (r - deg[x]) for x in rows
     ]
-    deficient = search.deg < r
-    got_rows, got_slack = search._slack(deficient, got_free)
-    assert got_rows.tolist() == rows and got_slack.tolist() == slack
+    got_slack = search._slack(got_free)
+    assert got_slack[rows].tolist() == slack
+    complete = [x for x in range(n) if deg[x] >= r]
+    assert all(got_slack[x] >= n for x in complete)
+    assert all(s <= n - 2 for s in slack)
+    if rows:
+        assert got_slack.argmin() == rows[slack.index(min(slack))]
     for x in rows:
         cands = [y for y in rows if free[x, y]]
-        assert search._candidates(x, deficient, got_free).tolist() == cands
+        assert search._candidates(x, got_free).tolist() == cands
         if combos:
             assert search._combos_for(
-                x, deficient, got_free
+                x, got_free
             ) == _reference_combos(search, trans, x, cands)
 
 
@@ -759,9 +771,11 @@ def test_incremental_distances_match_matrix_powers(data):
 )
 def test_search_state_holds_past_narrow_dtype_limits(parts, g):
     """On one 260-cycle at g = 3 a vertex counts 257 free deficient
-    partners, past 255.  On two 70-cycles at g = 70, distances between
-    the cycles sit at the cap 69 until edges join them, and the update
-    forms sums up to 138, past 127.  After every batch, and after an
+    partners, past 255, and a complete vertex's slack base holds 260,
+    past 127, so it still reads above every deficient slack.  On two
+    70-cycles at g = 70, distances between the cycles sit at the cap 69
+    until edges join them, and the update forms sums up to 138, past
+    127.  After every batch, and after an
     undo, the state still equals a from-scratch recount."""
     n = sum(parts)
     skeleton = next(s for s in arc_skeletons(n, g) if s.parts == parts)
@@ -782,8 +796,9 @@ def test_search_state_holds_past_narrow_dtype_limits(parts, g):
 
 def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
     """Replaying a mid-run checkpoint rebuilds, skeleton by skeleton, the
-    distances, free pairs, degrees and frames that the interrupted run
-    held at the same node."""
+    distances, free pairs, degree state (degrees, deficient mask, slack
+    base and deficient count) and frames that the interrupted run held
+    at the same node."""
     live = []
 
     class Recording(_SkeletonSearch):
@@ -806,7 +821,10 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
         assert fresh.edges == run.edges
         assert (fresh.dist == run.dist).all()
         assert (fresh._free_pairs() == run._free_pairs()).all()
-        assert (fresh.deg == run.deg).all()
+        assert fresh.deg == run.deg
+        assert (fresh.deficient == run.deficient).all()
+        assert (fresh.base == run.base).all()
+        assert fresh.n_deficient == run.n_deficient
         assert len(fresh._undo) == len(run._undo)
         assert [(f.vertex, f.next_idx, f.combos) for f in fresh.stack] == [
             (f.vertex, f.next_idx, f.combos) for f in run.stack
@@ -1034,9 +1052,9 @@ def test_order_30_skeleton_double_counts_the_cage():
 def test_uniqueness_of_order_30_graph(workers):
     """Full isomorph-free enumeration at order 30: exactly one class.
 
-    About 40 s in one process and 25 s with two workers on a 2-vCPU
-    host; RESULTS.md records the run.  Under two workers the same tree
-    runs through the process pool.
+    About 21-30 s in one process and 17-19 s with two workers on a
+    2-vCPU host; RESULTS.md records the runs.  Under two workers the
+    same tree runs through the process pool.
     """
     from mixedcages import build_g30, is_isomorphic
 
