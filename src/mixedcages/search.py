@@ -29,8 +29,8 @@ deficient partners of every vertex with one integer matrix-vector
 product and adds the base, which serves the feasibility cut and the
 fail-first choice alike.  The distance matrix holds the narrowest
 signed integers its update sums fit (int8 up to girth 64), and the
-counts the narrowest unsigned integers that hold the order (uint8 up
-to order 255).
+counts and the base share the narrowest signed integers that hold
+twice the order (int8 up to order 63).
 
 The skeleton group is one integer array of vertex images, built when a
 skeleton first needs it and only when its order is within
@@ -47,7 +47,9 @@ orbit stores the sorted codes of all its images, and each later one is
 a set lookup of its own, so an enumeration maps each orbit through the
 group once and checks the girth of one graph per class, not every
 emission.  Only a skeleton whose group exceeds the cap labels every
-emission canonically and dedupes by encoding.
+witness canonically and keeps the encodings as its keys instead.  So
+each class is deduped in one place, its skeleton's search, and a
+resumed run rebuilds those keys from the checkpoint's witnesses.
 
 One driver serves every run: it visits the pending skeletons in
 rounds, each visit a node quota on one skeleton, and merges the visits
@@ -75,7 +77,7 @@ from .graphs import MixedGraph, Pair, degree_profile, new_graph
 from .isomorphism import canonical_form
 
 CHECKPOINT_FORMAT = "mixedcages-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # decide-mode nodes per skeleton visit; checkpoints record it
 ROTATION_QUANTUM = 1_000
 # largest skeleton group kept as an array of elements; checkpoints record it
@@ -114,7 +116,7 @@ class SearchSpec:
     skeleton automorphism groups kept as an array of group elements;
     that array serves the orderly rejection of "lex" searches and the
     deduplication of enumerate emissions.  A skeleton with a larger
-    group runs without interior rejection and labels every emission
+    group runs without interior rejection and labels every witness
     canonically.  Checkpoints record both constants (and z), so
     changing one makes old checkpoints mismatch.
     """
@@ -474,9 +476,10 @@ class _SkeletonSearch:
     a complete one at least n, so one argmin over all n vertices finds
     the first deficient vertex of least slack.  The dtypes follow from
     the input size: ``dist`` is the smallest signed type holding
-    2(g-1)+1, the largest sum the update forms (int8 up to g = 64), the
-    counts the smallest unsigned type holding n (uint8 up to n = 255),
-    and the base the smallest signed type holding n and r.
+    2(g-1)+1, the largest sum the update forms (int8 up to g = 64), and
+    the counts and the base share the smallest signed type holding 2n
+    and r (int8 up to n = 63): a complete vertex's slack is below 2n,
+    and -r the least base, so the sum never leaves that type.
     """
 
     def __init__(self, spec: SearchSpec, skeleton: ArcSkeleton) -> None:
@@ -489,16 +492,13 @@ class _SkeletonSearch:
             (_np.int8, _np.int16, _np.int32, _np.int64), 2 * self.cap + 1
         )
         self.dist = _skeleton_distances(skeleton.parts, self.cap, dist_dtype)
-        self._count_dtype = _smallest_dtype(
-            (_np.uint8, _np.uint16, _np.uint32, _np.uint64), n
-        )
         self._undo: list[tuple] = []
         # the degree state of the class docstring, kept by _shift
         r = spec.r
         self.deg = [0] * n
         self.deficient = _np.ones(n, dtype=bool)
         self.base = _np.full(n, -r, dtype=_smallest_dtype(
-            (_np.int8, _np.int16, _np.int32, _np.int64), max(n, r)
+            (_np.int8, _np.int16, _np.int32, _np.int64), max(2 * n, r)
         ))
         self.n_deficient = n
         self.edges: list[Pair] = []  # under "lex" policy: stays sorted
@@ -509,8 +509,8 @@ class _SkeletonSearch:
         )
         self.orderly = self.policy == "lex" and self.use_group
         self._autos: _np.ndarray | None = None
-        # the _orbit_keys of every orbit a non-orderly enumeration has
-        # met; kept across visits, dropped once the skeleton is exhausted
+        # the classes a non-orderly enumeration has met (see _visit);
+        # kept across visits, dropped once the skeleton is exhausted
         self.keys: set[bytes] = set()
         self.stack: list[_Frame] = []
 
@@ -589,11 +589,8 @@ class _SkeletonSearch:
         base adds deg - r, or n for a complete vertex.  A deficient
         vertex has at most n - 1 free partners and lacks an edge, so its
         slack is at most n - 2, below every complete vertex's."""
-        # the product sums in the count dtype, the one that holds n; the
-        # signed base widens the sum
-        counts = free.view(_np.uint8) @ self.deficient.astype(
-            self._count_dtype
-        )
+        # the product and the sum stay in the base dtype, which holds 2n
+        counts = free.view(_np.int8) @ self.deficient.astype(self.base.dtype)
         return counts + self.base
 
     def _candidates(self, v: int, free: _np.ndarray) -> _np.ndarray:
@@ -803,21 +800,6 @@ class _SkeletonSearch:
                 )
             expanded, _ = res
 
-    def restore_keys(self, witnesses: list[MixedGraph]) -> None:
-        """Rebuild ``keys`` after restore() from a checkpoint's witnesses:
-        the orbits of those whose arcs are this skeleton's, the classes
-        its earlier visits kept.  An orbit they met that failed the
-        witness test is left out; its next member fails the test again.
-        A decide checkpoint records no witnesses, so nothing is rebuilt."""
-        if self.exhausted or self.orderly:
-            return
-        arcs = frozenset(self.skeleton.arcs)
-        mine = [w for w in witnesses if w.arcs == arcs]
-        autos = self.group() if mine else None
-        if autos is not None:
-            for w in mine:
-                self.keys.update(_orbit_keys(autos, w.sorted_edges()))
-
 
 # ---------------------------------------------------------------------------
 # engine
@@ -831,7 +813,7 @@ def _is_witness(spec: SearchSpec, g: MixedGraph) -> bool:
 
 def _visit(job: tuple) -> tuple:
     """One visit to one skeleton: ``(search, quota, deadline)`` in,
-    ``(search, status, nodes used, visit stats, completed graphs)`` out.
+    ``(search, status, nodes used, visit stats, new witnesses)`` out.
 
     Only verified witnesses are kept: regular (r, 1) with girth exactly
     g.  In decide mode the first one ends the visit ("found").  In
@@ -847,16 +829,16 @@ def _visit(job: tuple) -> tuple:
     A skeleton automorphism keeps the arcs, the degrees and the girth,
     so every image is itself a completion that the search emits: the
     keys are the labeled completions of the orbits met so far, and each
-    orbit costs one pass over the group.  Such witnesses come with no
-    encoding, and the driver keeps them all.  Only a skeleton whose
-    group exceeds CANONICITY_CAP labels each witness canonically, and
-    the driver dedupes those encodings against every class seen so far.
+    orbit costs one pass over the group.  Only a skeleton whose group
+    exceeds CANONICITY_CAP labels each witness canonically and keeps the
+    encodings as its ``keys``.  Either way each class is deduped on its
+    own skeleton, and the driver keeps every witness a visit returns.
     Module level, so a process pool can run it on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
     stats = SearchStats()
-    found: list[tuple[MixedGraph, bytes | None]] = []
+    found: list[MixedGraph] = []
 
     def emit(done: _SkeletonSearch) -> bool:
         autos = done.group() if spec.mode == "enumerate" else None
@@ -867,12 +849,13 @@ def _visit(job: tuple) -> tuple:
         g = done._graph()
         if not _is_witness(spec, g):
             return False
-        if spec.mode == "decide":
-            found.append((g, None))
-            return True
-        found.append((g, None if autos is not None
-                      else canonical_form(g).encoding))
-        return False
+        if spec.mode == "enumerate" and autos is None:
+            enc = canonical_form(g).encoding
+            if enc in done.keys:
+                return False
+            done.keys.add(enc)
+        found.append(g)
+        return spec.mode == "decide"
 
     status, used = search.run(quota, deadline, stats, emit)
     return search, status, used, stats, found
@@ -907,8 +890,6 @@ def search_order(
         return SearchOutcome("exhausted", [], stats)
     searches = [_SkeletonSearch(spec, sk) for sk in skeletons]
     witnesses: list[MixedGraph] = []
-    # each witness's canonical encoding, or None where a group named it
-    labels: list[bytes | None] = []
     cursor = 0
     visit_quota_left: float | None = None
     if checkpoint is not None:
@@ -916,16 +897,13 @@ def search_order(
         stats = SearchStats.from_dict(checkpoint["stats"])
         try:
             witnesses = [graph_from_payload(p) for p in checkpoint["witnesses"]]
-            forms = [bytes.fromhex(h) for h in checkpoint["seen_forms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc!r}") from None
-        labels = _checked_forms(spec, witnesses, forms)
         for search, st in zip(searches, checkpoint["skeletons"]):
             search.restore(st)
-            search.restore_keys(witnesses)
+        _restore_classes(spec, searches, witnesses)
         cursor = checkpoint["cursor"]
         visit_quota_left = checkpoint["visit_quota_left"]
-    seen_forms = set(labels)
 
     deadline = None
     if spec.time_budget is not None:
@@ -950,10 +928,6 @@ def search_order(
             "stats": stats.as_dict(),
             "skeletons": [s.to_state() for s in searches],
             "witnesses": [graph_payload(w) for w in witnesses],
-            "seen_forms": sorted(
-                (enc or canonical_form(w).encoding).hex()
-                for w, enc in zip(witnesses, labels)
-            ),
         })
 
     def drive(mapper) -> SearchOutcome:
@@ -993,17 +967,9 @@ def search_order(
                     )
                 searches[idx] = search
                 stats.add(visit_stats)
+                witnesses.extend(found)
                 if status == "found":
-                    witnesses.extend(g for g, _ in found)
                     return SearchOutcome("found", witnesses, stats)
-                for g, enc in found:
-                    # no encoding: the skeleton group has named the class
-                    if enc is not None:
-                        if enc in seen_forms:
-                            continue
-                        seen_forms.add(enc)
-                    witnesses.append(g)
-                    labels.append(enc)
                 if status == "paused" and used < quota:
                     # stopped by the global budget or the deadline
                     return cut(idx, quota - used)
@@ -1036,7 +1002,7 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
             f"checkpoint spec {cp.get('spec')} does not match {spec.key()}"
         )
     missing = [k for k in ("cursor", "visit_quota_left", "stats",
-                           "skeletons", "witnesses", "seen_forms")
+                           "skeletons", "witnesses")
                if k not in cp]
     if missing:
         raise CheckpointError(f"checkpoint lacks {missing}")
@@ -1050,29 +1016,39 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
         raise CheckpointError(f"checkpoint visit quota {quota!r} is invalid")
 
 
-def _checked_forms(
-    spec: SearchSpec, witnesses: list[MixedGraph], forms: list[bytes]
-) -> list[bytes]:
-    """The canonical encodings of a checkpoint's ``witnesses``, in their
-    order, when the witnesses have order n and pass _is_witness and
-    ``forms`` holds those encodings, one per witness, as the driver
-    records them together; a decide checkpoint has neither.  Raises
-    CheckpointError otherwise."""
+def _restore_classes(
+    spec: SearchSpec, searches: list[_SkeletonSearch],
+    witnesses: list[MixedGraph]
+) -> None:
+    """Check a checkpoint's witnesses against the restored searches and
+    rebuild the class keys _visit keeps.  Each witness must have order
+    n, pass _is_witness, carry the arcs of one skeleton, and not repeat
+    a class an earlier witness on that skeleton holds (its _edge_key
+    among the _orbit_keys of those, or its encoding where the group is
+    not kept); a decide checkpoint has none.  Raises CheckpointError
+    otherwise.  The keys go to the skeletons that are unfinished and not
+    orderly, the only ones that read them.  An orbit the search met that
+    failed the witness test is left out; its next member fails again."""
     if spec.mode == "decide" and witnesses:
         raise CheckpointError("decide checkpoint records witnesses")
+    owner = {frozenset(s.skeleton.arcs): k for k, s in enumerate(searches)}
+    keys: list[set[bytes]] = [set() for _ in searches]
     for i, w in enumerate(witnesses):
-        if w.n != spec.n or not _is_witness(spec, w):
+        k = owner.get(w.arcs)
+        if w.n != spec.n or k is None or not _is_witness(spec, w):
             raise CheckpointError(
-                f"checkpoint witness {i} is not an "
-                f"({spec.r},1,{spec.g})-graph of order {spec.n}"
+                f"checkpoint witness {i} is not an ({spec.r},1,{spec.g})-"
+                f"graph of order {spec.n} on a skeleton's arcs"
             )
-    encodings = [canonical_form(w).encoding for w in witnesses]
-    if sorted(encodings) != sorted(forms) or len(set(forms)) != len(forms):
-        raise CheckpointError(
-            "checkpoint seen_forms are not its witnesses' classes, "
-            "one per witness"
-        )
-    return encodings
+        seen, autos, edges = keys[k], searches[k].group(), w.sorted_edges()
+        key = (_edge_key(edges, spec.n) if autos is not None
+               else canonical_form(w).encoding)
+        if key in seen:
+            raise CheckpointError(f"checkpoint witness {i} repeats a class")
+        seen.update(_orbit_keys(autos, edges) if autos is not None else [key])
+    for search, seen in zip(searches, keys):
+        if not (search.exhausted or search.orderly):
+            search.keys = seen
 
 
 def determine_cage_number(

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import mixedcages.search as search_module
-from mixedcages import SearchSpec, canonical_form, search_order
+from mixedcages import SearchSpec, canonical_form, new_graph, search_order
 from mixedcages.cli import _read_graph, run
 from mixedcages.matrixio import NonSquareError
 
@@ -454,10 +454,25 @@ def _corrupted_checkpoint(tmp_path, corrupt):
     return cp
 
 
-def _class_forms(r, g, n):
-    """Hex canonical encodings of every (r,1,g)-graph class of order n."""
-    out = search_order(SearchSpec(r=r, g=g, n=n, mode="enumerate"))
-    return sorted(canonical_form(w).encoding.hex() for w in out.witnesses)
+def _plant_unfound_class(state, active):
+    """Append a (3,1,4)@12 class the cut has not reached, relabeled by
+    v -> 11 - v so that its arc cycles run backwards, on no skeleton's
+    arcs.  Format 1 also listed each witness's encoding in seen_forms
+    and trusted them; listing the planted one there too leaves the arcs
+    as the only thing that can give it away."""
+    found = {canonical_form(search_module.graph_from_payload(w)).encoding
+             for w in state["witnesses"]}
+    every = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate"))
+    new = next(w for w in every.witnesses
+               if canonical_form(w).encoding not in found)
+
+    def flip(pairs):
+        return [(11 - a, 11 - b) for a, b in pairs]
+
+    state["witnesses"].append(search_module.graph_payload(
+        new_graph(12, flip(new.edges), flip(new.arcs))))
+    if "seen_forms" in state:
+        state["seen_forms"].append(canonical_form(new).encoding.hex())
 
 
 @pytest.mark.parametrize(
@@ -477,11 +492,13 @@ def _class_forms(r, g, n):
         # witnesses and classes that would be trusted into the result
         lambda state, active: state["witnesses"].append(
             {"n": 12, "edges": [[0, 1]], "arcs": []}),
-        lambda state, active: state.__setitem__(
-            "seen_forms", _class_forms(3, 4, 12)),
+        _plant_unfound_class,
+        lambda state, active: state["witnesses"].append(
+            state["witnesses"][0]),
     ],
     ids=["path-index", "parts", "stats-string", "stats-negative",
-         "stats-float", "stats-bool", "witness-invalid", "seen-forms"],
+         "stats-float", "stats-bool", "witness-invalid",
+         "witness-off-skeleton", "witness-repeated"],
 )
 def test_corrupt_checkpoint_is_io_error(tmp_path, corrupt):
     cp = _corrupted_checkpoint(tmp_path, corrupt)

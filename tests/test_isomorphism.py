@@ -421,8 +421,9 @@ def test_search_nodes_refine_like_reference(g):
 
 
 # sha256 of canonical_form(g).encoding, recorded before the refinement
-# was rewritten; enumerate checkpoints store encodings as seen_forms, so
-# a changed encoding would make a resumed run emit classes twice
+# was rewritten.  Checkpoints store no encodings (a resume labels its
+# witnesses again), but the encoding names a class for library callers,
+# who may keep it between versions, so a rewrite must keep the bytes
 PINNED_ENCODINGS = {
     "g30": "ceedebe767c179ad45fd408d9a6baa09762152b3ce23d6a4d95be7e7f017ac99",
     "petersen": "673ea83e9622876b1c85e448a6d934b2e3900b6c6a14aa27c4895da0f5216a41",

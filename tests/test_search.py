@@ -506,6 +506,8 @@ def _active_skeleton(cp):
         # an inner frame must have applied a combination; index 0 would
         # replay combination -1
         lambda cp: _active_skeleton(cp)["path"].__setitem__(0, 0),
+        # format 1, which also listed the witnesses' encodings
+        lambda cp: cp.update(version=1, seen_forms=[]),
     ],
 )
 def test_malformed_checkpoint_rejected(corrupt):
@@ -515,11 +517,34 @@ def test_malformed_checkpoint_rejected(corrupt):
         search_order(spec, checkpoint=cp)
 
 
+@pytest.mark.parametrize("cap", [search_module.CANONICITY_CAP, 1])
+@pytest.mark.parametrize("policy", ["lex", "focus"])
+def test_repeated_witness_rejected(monkeypatch, policy, cap):
+    """A checkpoint witness that repeats an earlier one's class, as a
+    copy or as its image under a skeleton automorphism, is refused on
+    orderly and non-orderly skeletons, keyed by orbit or by encoding."""
+    monkeypatch.setattr(search_module, "CANONICITY_CAP", cap)
+    spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy)
+    cut = search_order(dataclasses.replace(spec, node_budget=500))
+    first = search_module.graph_from_payload(cut.checkpoint["witnesses"][0])
+    parts = next(sk.parts for sk in arc_skeletons(12, 4)
+                 if frozenset(sk.arcs) == first.arcs)
+    images = (new_graph(12, [(p[a], p[b]) for a, b in first.edges],
+                        [(p[a], p[b]) for a, b in first.arcs])
+              for p in _skeleton_autos(parts).tolist())
+    moved = next(g for g in images if g.edges != first.edges)
+    for repeat in (first, moved):
+        cp = json.loads(json.dumps(cut.checkpoint))
+        cp["witnesses"].append(search_module.graph_payload(repeat))
+        with pytest.raises(CheckpointError, match="repeats a class"):
+            search_order(spec, checkpoint=cp)
+
+
 def test_checkpoint_records_package_version():
     """The package version is provenance only: a checkpoint without it,
     or from another version, resumes to the uninterrupted statistics."""
     spec, cp = _cut_checkpoint()
-    assert cp["version"] == 1
+    assert cp["version"] == 2
     assert cp["package_version"] == __version__
     full = search_order(spec).stats.as_dict()
     for recorded in (None, "0.0.0"):
@@ -871,8 +896,9 @@ def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
     statistics; the skeleton group names every class, so the search
     labels none canonically.  Without the group array (CANONICITY_CAP of
     1) every witness is labeled and deduped by encoding, also across
-    budget cuts, and the witnesses are the same, and so are the
-    statistics of the focus tree, which rejects no isomorphs."""
+    budget cuts, where each resume labels the checkpoint's witnesses
+    once to rebuild those keys, and the witnesses are the same, and so
+    are the statistics of the focus tree, which rejects no isomorphs."""
     labeled = []
 
     def spy(g):
@@ -895,8 +921,9 @@ def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
     chain, checkpoints = _resume_chain(spec, (2000, 4000, 6000))
     assert _witness_digest(chain.witnesses) == PINNED_WITNESSES[policy]
     assert chain.stats == plain.stats
-    assert all(len(cp["seen_forms"]) == len(cp["witnesses"]) > 0
-               for cp in checkpoints)
+    assert all(cp["witnesses"] for cp in checkpoints)
+    assert len(labeled) == 2 * 724 + sum(len(cp["witnesses"])
+                                         for cp in checkpoints)
 
 
 # node counts inside the (12,), (8,4), (6,6) and (4,4,4) skeletons of the
