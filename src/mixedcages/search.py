@@ -18,19 +18,19 @@ so the output has one representative per isomorphism class.  Decide
 mode instead completes the most constrained vertex first, which
 surfaces contradictions far earlier.  Pruning is exact distance
 filtering for cycles through new edges, read from a capped directed
-distance matrix that each completed vertex updates once for its whole
-batch of new edges and backtracking restores from an undo stack;
-degree-demand feasibility against the partners still joinable at
-girth-compatible distance, whose matrix of free pairs each node derives
-from the distances; and a parity cut.  The degrees, the mask of
-deficient vertices and a slack base are kept across nodes and updated
-only at the vertices a batch touches.  Each node counts the free
-deficient partners of every vertex with one integer matrix-vector
-product and adds the base, which serves the feasibility cut and the
-fail-first choice alike.  The distance matrix holds the narrowest
-signed integers its update sums fit (int8 up to girth 64), and the
-counts and the base share the narrowest signed integers that hold
-twice the order (int8 up to order 63).
+distance matrix that each batch (the edges completing one vertex)
+updates once; degree-demand feasibility against the partners still
+joinable at girth-compatible distance; and a parity cut.  The undo
+stack holds one entry per batch, its vertex, partners and replaced
+matrix, and is also the edge list.  The degrees, the mask of deficient
+vertices and a slack base are kept across nodes: a batch sets its
+vertex complete and moves each partner by one.  Each node derives the
+free pairs from the distances and counts every vertex's free deficient
+partners with one integer matrix-vector product plus the base, which
+serves the feasibility cut and the fail-first choice alike.  The
+distance matrix holds the narrowest signed integers its update sums fit
+(int8 up to girth 64), and the counts and the base share the narrowest
+signed integers that hold twice the order (int8 up to order 63).
 
 The skeleton group is one integer array of vertex images, built when a
 skeleton first needs it and only when its order is within
@@ -451,31 +451,32 @@ class _SkeletonSearch:
     (arcs forward, edges either way), capped at g-1: the girth filters
     only ask whether a distance is at most g-2 or g-3.  An edge {x, y}
     could still be added when x != y, x and y are not adjacent, and no
-    path of length <= g-2 joins them either way; _free_pairs derives
+    path of length <= g-2 joins them either way; _free_slack derives
     that matrix from ``dist`` once per node.
 
-    Every edge of a batch meets the vertex v it completes.  A shortest
+    A batch is the edges that complete one deficient vertex v: it is
+    non-empty and brings v to degree r exactly (_add_batch raises
+    ValueError otherwise).  Every edge of a batch meets v.  A shortest
     path passes v at most once, so it uses at most two new edges, and
     those two meet at v.  The new distances into and out of v are
     therefore ``to_v[a] = min(dist[a, v], min_u dist[a, u] + 1)`` and
     ``from_v[b] = min(dist[v, b], min_u dist[u, b] + 1)`` over the
     partners u, and every other distance is
     ``min(dist[a, b], to_v[a] + from_v[b])``: one outer sum per batch.
-    Capped inputs give exact sums below the cap.  One undo entry per
-    batch keeps the replaced matrix.
+    Capped inputs give exact sums below the cap.  The undo entry of a
+    batch, ``(replaced matrix, v, partners)``, is all _pop_batch needs,
+    and the undo stack read in order is the edge list (``edges``).
+    Under "lex" v is the least deficient vertex and its partners lie
+    above it, so that list stays sorted.
 
-    A batch changes the degrees of v and its partners only, so the
-    degree state is kept across nodes and updated at those vertices
-    alone, by _shift on add and undo: the degrees (a list), the mask of
-    deficient vertices (``deg < r``), a slack base (deg - r for a
-    deficient vertex, n for a complete one) and the number of deficient
-    vertices.  A node with none left is complete before any free pair is
-    derived.  Otherwise one integer matrix-vector product counts every
-    vertex's free deficient partners, and adding the base gives every
-    vertex's slack (_slack): a deficient vertex reads at most n - 2 and
-    a complete one at least n, so one argmin over all n vertices finds
-    the first deficient vertex of least slack.  The dtypes follow from
-    the input size: ``dist`` is the smallest signed type holding
+    The degree state is kept across nodes: the degrees (a list), the
+    mask of deficient vertices (``deg < r``), a slack base (deg - r, or
+    n for a complete vertex) and the deficient count.  A batch sets v to
+    degree r, base n, mask off; its undo sets degree r - k, base -k,
+    mask on, for k partners.  Each partner moves by one, and its mask
+    bit and the count change only where its degree crosses r, so a
+    partner of any degree stays exact.  The dtypes follow from the
+    input size: ``dist`` is the smallest signed type holding
     2(g-1)+1, the largest sum the update forms (int8 up to g = 64), and
     the counts and the base share the smallest signed type holding 2n
     and r (int8 up to n = 63): a complete vertex's slack is below 2n,
@@ -493,7 +494,7 @@ class _SkeletonSearch:
         )
         self.dist = _skeleton_distances(skeleton.parts, self.cap, dist_dtype)
         self._undo: list[tuple] = []
-        # the degree state of the class docstring, kept by _shift
+        # the degree state of the class docstring, kept by the batches
         r = spec.r
         self.deg = [0] * n
         self.deficient = _np.ones(n, dtype=bool)
@@ -501,7 +502,6 @@ class _SkeletonSearch:
             (_np.int8, _np.int16, _np.int32, _np.int64), max(2 * n, r)
         ))
         self.n_deficient = n
-        self.edges: list[Pair] = []  # under "lex" policy: stays sorted
         self.exhausted = False
         self.policy = spec.effective_policy()
         self.use_group = (
@@ -524,7 +524,13 @@ class _SkeletonSearch:
     # -- state mutation
 
     def _add_batch(self, v: int, partners: tuple[int, ...]) -> None:
-        """Add the edges {v, u} for every partner u."""
+        """Add the edges {v, u} for every partner u, completing v.  Raises
+        ValueError, with nothing changed, unless the batch is non-empty
+        and brings v to degree r exactly."""
+        r, deg = self.spec.r, self.deg
+        if not partners or deg[v] + len(partners) != r:
+            raise ValueError(f"batch {partners} does not complete vertex "
+                             f"{v} of degree {deg[v]} to {r}")
         d = self.dist
         # per-partner slices: fancy indexing costs more at this size
         to_u, from_u = d[:, partners[0]], d[partners[0]]
@@ -537,66 +543,63 @@ class _SkeletonSearch:
         via = to_v[:, None] + from_v
         self._undo.append((d, v, partners))
         self.dist = _np.minimum(d, via, out=via)
-        self._shift(v, partners, 1)
-        self.edges.extend((v, u) if v < u else (u, v) for u in partners)
+        base, mask = self.base, self.deficient
+        deg[v], base[v], mask[v] = r, self.n, False
+        self.n_deficient -= 1
+        for u in partners:
+            du = deg[u] = deg[u] + 1
+            if du < r:
+                base[u] = du - r
+            elif du == r:
+                base[u], mask[u] = self.n, False
+                self.n_deficient -= 1
 
     def _pop_batch(self) -> None:
         self.dist, v, partners = self._undo.pop()
-        del self.edges[-len(partners):]
-        self._shift(v, partners, -1)
-
-    def _shift(self, v: int, partners: tuple[int, ...], step: int) -> None:
-        """Move the degree of v by ``step`` per partner and each
-        partner's by ``step``, with the slack bases of those vertices,
-        and their mask bits and the deficient count where they cross r."""
-        r, deg = self.spec.r, self.deg
-        for x in (v, *partners):
-            was = deg[x] < r
-            d = deg[x] = deg[x] + (step * len(partners) if x == v else step)
-            if d < r:
-                self.base[x] = d - r
-                if not was:
-                    self.deficient[x] = True
+        r, deg, base, mask = self.spec.r, self.deg, self.base, self.deficient
+        k = len(partners)
+        deg[v], base[v], mask[v] = r - k, -k, True
+        self.n_deficient += 1
+        for u in partners:
+            du = deg[u] = deg[u] - 1
+            if du < r:
+                base[u] = du - r
+                if du == r - 1:
+                    mask[u] = True
                     self.n_deficient += 1
-            else:
-                self.base[x] = self.n
-                if was:
-                    self.deficient[x] = False
-                    self.n_deficient -= 1
+
+    @property
+    def edges(self) -> list[Pair]:
+        """The edges so far, as (a, b) with a < b, in batch order."""
+        return [(v, u) if v < u else (u, v) for _, v, ps in self._undo
+                for u in ps]
 
     # -- search proper
 
-    def _free_pairs(self) -> _np.ndarray:
-        """The pairs {x, y} an edge could still join: no path of length
-        <= g-2 either way.  From g = 3 on that distance already excludes
-        x == y and adjacent pairs; below it they are cleared here."""
+    def _free_slack(self) -> tuple[_np.ndarray, _np.ndarray]:
+        """The free pairs {x, y}, those an edge could still join (no
+        path of length <= g-2 either way), and every vertex's slack.
+        From g = 3 on that distance already excludes x == y and adjacent
+        pairs; below it they are cleared here.  A deficient vertex's
+        slack is the number of free deficient partners minus its
+        remaining demand, at most n - 2; the base adds n for a complete
+        vertex instead, so it reads at least n."""
         far = self.dist >= self.cap
         free = far & far.T
         if self.cap < 2:
             _np.fill_diagonal(free, False)
-            if self.edges:
+            if self._undo:
                 a, b = _np.array(self.edges).T
                 free[a, b] = free[b, a] = False
-        return free
-
-    def _slack(self, free: _np.ndarray) -> _np.ndarray:
-        """Every vertex's slack: for a deficient vertex, the number of
-        deficient partners it could still take at girth-compatible
-        distance minus its remaining demand; for a complete one, at least
-        n.  ``free`` is the matrix of _free_pairs.
-
-        One product counts the free deficient partners, and the slack
-        base adds deg - r, or n for a complete vertex.  A deficient
-        vertex has at most n - 1 free partners and lacks an edge, so its
-        slack is at most n - 2, below every complete vertex's."""
         # the product and the sum stay in the base dtype, which holds 2n
-        counts = free.view(_np.int8) @ self.deficient.astype(self.base.dtype)
-        return counts + self.base
+        slack = free.view(_np.int8) @ self.deficient.astype(self.base.dtype)
+        slack += self.base
+        return free, slack
 
     def _candidates(self, v: int, free: _np.ndarray) -> _np.ndarray:
         """Deficient partners that can take an edge to v without closing
         a cycle shorter than g (single-edge criterion, exact: ``free`` is
-        the matrix of _free_pairs)."""
+        the matrix of _free_slack)."""
         return (free[v] & self.deficient).nonzero()[0]
 
     def _combos_for(
@@ -639,19 +642,14 @@ class _SkeletonSearch:
         Returns ("pushed" | "infeasible" | "complete", girth-pruned
         combination count).  "complete" is read off the deficient count
         before any free pair is derived.  "infeasible": some deficient
-        vertex sees fewer girth-compatible deficient partners than it
-        still needs.  One slack count over all n vertices serves that
-        test and the "focus" choice of the vertex to complete next, the
-        first with the least slack: a complete vertex reads at least n
-        and a deficient one at most n - 2, so the argmin over all
-        vertices is the argmin over the deficient ones.  "lex" completes
-        the least-index deficient vertex, whose partners then all sit
-        above it, keeping the edge list sorted.
+        vertex has fewer free deficient partners than it still needs, a
+        negative slack (_free_slack).  "focus" completes the first vertex
+        of least slack, one argmin over all n vertices, since a complete
+        one reads at least n; "lex" the least-index deficient vertex.
         """
         if not self.n_deficient:
             return "complete", 0
-        free = self._free_pairs()
-        slack = self._slack(free)
+        free, slack = self._free_slack()
         least = slack.argmin()
         if slack[least] < 0:
             return "infeasible", 0
@@ -669,9 +667,9 @@ class _SkeletonSearch:
         group (lex policy, group within CANONICITY_CAP)."""
         self._add_batch(frame.vertex, combo)
         if self.orderly:
-            n = self.n
-            least = _least_image(self.group(), self.edges)
-            if least.tolist() != [a * n + b for a, b in self.edges]:
+            n, edges = self.n, self.edges
+            least = _least_image(self.group(), edges)
+            if least.tolist() != [a * n + b for a, b in edges]:
                 self._pop_batch()
                 return None
         return self._expand()
@@ -735,7 +733,7 @@ class _SkeletonSearch:
         return "exhausted", used
 
     def _graph(self) -> MixedGraph:
-        return new_graph(self.n, list(self.edges), list(self.skeleton.arcs))
+        return new_graph(self.n, self.edges, list(self.skeleton.arcs))
 
     # -- suspension
 
@@ -843,9 +841,10 @@ def _visit(job: tuple) -> tuple:
     def emit(done: _SkeletonSearch) -> bool:
         autos = done.group() if spec.mode == "enumerate" else None
         if autos is not None and not done.orderly:
-            if _edge_key(done.edges, done.n) in done.keys:
+            edges = done.edges
+            if _edge_key(edges, done.n) in done.keys:
                 return False
-            done.keys.update(_orbit_keys(autos, done.edges))
+            done.keys.update(_orbit_keys(autos, edges))
         g = done._graph()
         if not _is_witness(spec, g):
             return False

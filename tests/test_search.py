@@ -709,7 +709,8 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
     of the skeleton arcs plus the edge batches.  Every complete vertex
     reads a slack of at least n, above every deficient one, so the
     argmin over all vertices is the first deficient one of least
-    slack."""
+    slack.  Under "lex" the edge list is sorted, as the orderly test
+    needs."""
     n, r, g = search.n, search.spec.r, search.spec.g
     adj = np.zeros((n, n), dtype=bool)
     deg = np.zeros(n, dtype=int)
@@ -719,6 +720,8 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
             deg[u] += 1
         deg[v] += len(partners)
     assert sorted(search.edges) == sorted(zip(*np.nonzero(np.triu(adj))))
+    if search.policy == "lex":
+        assert search.edges == sorted(search.edges)
     mask = deg < r
     assert search.deg == deg.tolist()
     assert search.deficient.tolist() == mask.tolist()
@@ -727,13 +730,12 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
     trans = arc_mat | adj
     assert (search.dist == _reference_dist(trans, g - 1)).all()
     free = _reference_free(search, trans, adj)
-    got_free = search._free_pairs()
+    got_free, got_slack = search._free_slack()
     assert (got_free == free).all()
     rows = [x for x in range(n) if deg[x] < r]
     slack = [
         sum(1 for y in rows if free[x, y]) - (r - deg[x]) for x in rows
     ]
-    got_slack = search._slack(got_free)
     assert got_slack[rows].tolist() == slack
     complete = [x for x in range(n) if deg[x] >= r]
     assert all(got_slack[x] >= n for x in complete)
@@ -752,11 +754,14 @@ def _check_against_recount(search, arc_mat, batches, combos=True):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_incremental_distances_match_matrix_powers(data):
-    """Batches of edges at one vertex, with partners drawn from every
-    non-adjacent vertex (so they may be near each other or near v), and
-    undos of whole batches; after every step the distances, the free
-    pairs, the slack, the candidates and the combinations equal a
-    from-scratch recount."""
+    """Batches that complete a deficient vertex v, with its missing
+    partners drawn from every vertex not adjacent to it (so they may be
+    near each other or near v, and may already be complete, so their
+    degree crosses r or passes it), and undos of whole batches; after
+    every step the distances, the free pairs, the slack, the candidates
+    and the combinations equal a from-scratch recount.  Under "lex" v is
+    the least deficient vertex and its partners lie above it, as in the
+    search."""
     g = data.draw(st.integers(1, 7), label="g")
     n = data.draw(st.integers(max(g, 2), g + 7), label="n")
     skeletons = list(arc_skeletons(n, g))
@@ -777,13 +782,22 @@ def test_incremental_distances_match_matrix_powers(data):
             adj = np.zeros((n, n), dtype=bool)
             for v, partners in batches:
                 adj[v, list(partners)] = adj[list(partners), v] = True
-            v = data.draw(st.integers(0, n - 1), label="v")
-            options = [u for u in range(n) if u != v and not adj[v, u]]
-            if not options:
+            deg = adj.sum(axis=1)
+            deficient = [x for x in range(n) if deg[x] < r]
+            if not deficient:
+                continue
+            if spec.branch_policy == "lex":
+                v = deficient[0]
+            else:
+                v = data.draw(st.sampled_from(deficient), label="v")
+            options = [u for u in range(n) if u != v and not adj[v, u]
+                       and (spec.branch_policy != "lex" or u > v)]
+            need = r - int(deg[v])
+            if len(options) < need:
                 continue
             partners = tuple(sorted(data.draw(
-                st.lists(st.sampled_from(options), min_size=1,
-                         max_size=min(r, len(options)), unique=True),
+                st.lists(st.sampled_from(options), min_size=need,
+                         max_size=need, unique=True),
                 label="partners",
             )))
             search._add_batch(v, partners)
@@ -791,32 +805,86 @@ def test_incremental_distances_match_matrix_powers(data):
         _check_against_recount(search, arc_mat, batches)
 
 
-@pytest.mark.parametrize(
-    "parts,g", [((260,), 3), ((70, 70), 70)], ids=["n260-g3", "n140-g70"]
-)
-def test_search_state_holds_past_narrow_dtype_limits(parts, g):
-    """On one 260-cycle at g = 3 a vertex counts 257 free deficient
-    partners, past 255, and a complete vertex's slack base holds 260,
-    past 127, so it still reads above every deficient slack.  On two
-    70-cycles at g = 70, distances between the cycles sit at the cap 69
-    until edges join them, and the update forms sums up to 138, past
-    127.  After every batch, and after an
-    undo, the state still equals a from-scratch recount."""
+def _largest_update_sum(dist, v, partners):
+    """The largest entry of the outer sum to_v[a] + from_v[b] that
+    _add_batch forms for this batch (see _SkeletonSearch), in Python
+    integers."""
+    d = dist.astype(np.int64)
+    to_v = np.minimum(d[:, v], d[:, list(partners)].min(axis=1) + 1)
+    from_v = np.minimum(d[v], d[list(partners)].min(axis=0) + 1)
+    return int(to_v.max()) + int(from_v.max())
+
+
+@pytest.mark.parametrize("parts,g,batches,limits", [
+    ((260,), 3,
+     [(0, (52, 104, 156)), (1, (52, 208, 257)), (105, (52, 157, 258)),
+      (200, (0, 3, 150))],
+     (257, 260, 4)),
+    ((70, 70), 70,
+     [(0, (28, 56, 84)), (1, (28, 57, 112)), (30, (28, 85, 113)),
+      (100, (0, 2, 58))],
+     (70, 140, 138)),
+], ids=["n260-g3", "n140-g70"])
+def test_search_state_holds_past_narrow_dtype_limits(parts, g, batches,
+                                                     limits):
+    """``limits`` are the largest count of free deficient partners, slack
+    base and update sum the steps meet.  On one 260-cycle at g = 3 a
+    vertex counts 257 free deficient partners, past 255, and a complete
+    vertex's slack base holds 260, past 127, so it still reads above
+    every deficient slack.  On two 70-cycles at g = 70, distances
+    between the cycles sit at the cap 69 until edges join them, and the
+    update forms sums up to 138, past 127.  Every batch completes its
+    vertex (r = 3); the third makes a partner of degree 2 complete and
+    the fourth takes a complete partner to degree 4.  After every batch,
+    and after every undo back to the bare skeleton, the state still
+    equals a from-scratch recount."""
     n = sum(parts)
     skeleton = next(s for s in arc_skeletons(n, g) if s.parts == parts)
     search = _SkeletonSearch(SearchSpec(r=3, g=g, n=n), skeleton)
     arc_mat = _arc_matrix(skeleton)
-    step = n // 5
-    batches = []
-    _check_against_recount(search, arc_mat, batches, combos=False)
-    for v, partners in [(0, (step, 2 * step, 3 * step)), (1, (4 * step,)),
-                        (step + 1, (2 * step + 2, n - 2))]:
+    done, counts, bases, sums = [], [], [], []
+
+    def check():
+        _check_against_recount(search, arc_mat, done, combos=False)
+        free, _ = search._free_slack()
+        counts.append(int((free & search.deficient).sum(axis=1).max()))
+        bases.append(int(search.base.max()))
+
+    check()
+    for v, partners in batches:
+        sums.append(_largest_update_sum(search.dist, v, partners))
         search._add_batch(v, partners)
-        batches.append((v, partners))
-        _check_against_recount(search, arc_mat, batches, combos=False)
-    search._pop_batch()
-    batches.pop()
-    _check_against_recount(search, arc_mat, batches, combos=False)
+        done.append((v, partners))
+        check()
+    while done:
+        search._pop_batch()
+        done.pop()
+        check()
+    assert (max(counts), max(bases), max(sums)) == limits
+
+
+@pytest.mark.parametrize("partners", [(), (7,), (7, 9, 11)],
+                         ids=["empty", "leaves-v-deficient", "overfills-v"])
+def test_add_batch_rejects_a_batch_that_does_not_complete_v(partners):
+    """_add_batch adds exactly the edges that complete v.  Vertex 3 has
+    degree 1 of r = 3, so an empty batch, one partner (degree 2) and
+    three (degree 4) raise ValueError, and the state is as before."""
+    spec = SearchSpec(r=3, g=5, n=20)
+    search = _SkeletonSearch(spec, next(arc_skeletons(20, 5)))
+    search._add_batch(0, (3, 10, 15))
+    before = (search.dist, search.dist.copy(), list(search.deg),
+              search.base.copy(), search.deficient.copy(),
+              search.n_deficient, list(search._undo))
+    with pytest.raises(ValueError):
+        search._add_batch(3, partners)
+    dist, dist_copy, deg, base, deficient, n_deficient, undo = before
+    assert search.dist is dist and (search.dist == dist_copy).all()
+    assert search.deg == deg
+    assert (search.base == base).all()
+    assert (search.deficient == deficient).all()
+    assert search.n_deficient == n_deficient
+    assert len(search._undo) == len(undo)
+    assert all(a is b for a, b in zip(search._undo, undo))
 
 
 def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
@@ -845,7 +913,10 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
         fresh.restore(state)
         assert fresh.edges == run.edges
         assert (fresh.dist == run.dist).all()
-        assert (fresh._free_pairs() == run._free_pairs()).all()
+        fresh_free, fresh_slack = fresh._free_slack()
+        run_free, run_slack = run._free_slack()
+        assert (fresh_free == run_free).all()
+        assert (fresh_slack == run_slack).all()
         assert fresh.deg == run.deg
         assert (fresh.deficient == run.deficient).all()
         assert (fresh.base == run.base).all()
@@ -1079,9 +1150,8 @@ def test_order_30_skeleton_double_counts_the_cage():
 def test_uniqueness_of_order_30_graph(workers):
     """Full isomorph-free enumeration at order 30: exactly one class.
 
-    About 21-30 s in one process and 17-19 s with two workers on a
-    2-vCPU host; RESULTS.md records the runs.  Under two workers the
-    same tree runs through the process pool.
+    Tens of seconds per leg; RESULTS.md records the current timings.
+    Under two workers the same tree runs through the process pool.
     """
     from mixedcages import build_g30, is_isomorphic
 
