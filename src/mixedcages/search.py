@@ -48,17 +48,22 @@ a set lookup of its own, so an enumeration maps each orbit through the
 group once and checks the girth of one graph per class, not every
 emission.  Only a skeleton whose group exceeds the cap labels every
 witness canonically and keeps the encodings as its keys instead.  So
-each class is deduped in one place, its skeleton's search, and a
-resumed run rebuilds those keys from the checkpoint's witnesses.
+each class is deduped in one place, its skeleton's search.
 
-One driver serves every run: it visits the pending skeletons in
-rounds, each visit a node quota on one skeleton, and merges the visits
-in skeleton order, whether they ran in process or in a pool of worker
-processes, so results never depend on the number of workers.  Searches
-are resumable: the depth-first position is the list of combination
-indices per level, and combination lists are recomputed
-deterministically on replay, so a budget-interrupted run serializes to
-a small checkpoint and the resumed run reproduces identical statistics.
+Each skeleton's search is also the one home of its state: its
+depth-first position, its class keys, its statistics and its verified
+witnesses.  One driver serves every run: it visits the pending
+skeletons in rounds, each visit a node quota on one skeleton, whether
+they run in process or in a pool of worker processes, so results never
+depend on the number of workers.  The schedule is read off the
+searches' node counts, and the outcome is their sum and the
+concatenation of their witnesses in skeleton order.  Searches are
+resumable: the depth-first position is the list of combination indices
+per level, and combination lists are recomputed deterministically on
+replay, so a budget-interrupted run serializes to a small checkpoint,
+the list of skeleton states, and the resumed run reproduces identical
+statistics.  Each restored search checks its own witnesses and
+rebuilds its keys from them.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ from .graphs import MixedGraph, Pair, degree_profile, new_graph
 from .isomorphism import canonical_form
 
 CHECKPOINT_FORMAT = "mixedcages-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # decide-mode nodes per skeleton visit; checkpoints record it
 ROTATION_QUANTUM = 1_000
 # largest skeleton group kept as an array of elements; checkpoints record it
@@ -509,10 +514,14 @@ class _SkeletonSearch:
         )
         self.orderly = self.policy == "lex" and self.use_group
         self._autos: _np.ndarray | None = None
-        # the classes a non-orderly enumeration has met (see _visit);
-        # kept across visits, dropped once the skeleton is exhausted
+        # the classes an enumeration has met here (see _visit); kept
+        # across visits, dropped once the skeleton is exhausted
         self.keys: set[bytes] = set()
         self.stack: list[_Frame] = []
+        # this skeleton's share of the outcome: cumulative counts, and
+        # verified witnesses in emission order
+        self.stats = SearchStats()
+        self.witnesses: list[MixedGraph] = []
 
     def group(self) -> _np.ndarray | None:
         """The skeleton group array (_skeleton_autos), built on first
@@ -674,12 +683,13 @@ class _SkeletonSearch:
                 return None
         return self._expand()
 
-    def run(self, quota: float, deadline: float | None, stats: SearchStats,
+    def run(self, quota: float, deadline: float | None,
             emit) -> tuple[str, int]:
-        """Advance until the node quota or deadline is consumed, the
-        emit callback accepts a complete edge set (decide), or the
-        skeleton is exhausted.  Returns ("found" | "paused" | "exhausted",
-        nodes consumed this visit).  ``emit`` gets this search in each
+        """Advance an unexhausted skeleton until the node quota or
+        deadline is consumed, the emit callback accepts a complete edge
+        set (decide), or the skeleton is exhausted, counting into
+        ``stats``.  Returns ("found" | "paused" | "exhausted", nodes
+        consumed this visit).  ``emit`` gets this search in each
         complete state and reads what it needs: ``edges``, ``group()``
         and ``keys``, and ``_graph()`` only for the edge sets it keeps.
 
@@ -691,9 +701,7 @@ class _SkeletonSearch:
         finds the stack empty is the first.  Every other frame was
         entered by applying a batch, so popping a frame undoes a batch
         exactly when a frame stays below it."""
-        if self.exhausted:
-            return "exhausted", 0
-        used = 0
+        stats, used = self.stats, 0
         if not self.stack:
             state, pruned = self._expand()
             stats.girth_prunes += pruned
@@ -743,15 +751,19 @@ class _SkeletonSearch:
             "exhausted": self.exhausted,
             "started": self.exhausted or bool(self.stack),
             "path": [f.next_idx for f in self.stack],
+            "stats": self.stats.as_dict(),
+            "witnesses": [graph_payload(w) for w in self.witnesses],
         }
 
     def restore(self, state: dict) -> None:
-        """Replay a to_state() record.  Raises CheckpointError when the
-        record is malformed or its path leaves the search tree."""
+        """Replay a to_state() record: its statistics, its witnesses
+        (_restore_witnesses) and its path.  Raises CheckpointError when
+        the record is malformed or its path leaves the search tree."""
         try:
             parts = tuple(state["parts"])
             exhausted, started = state["exhausted"], state["started"]
-            path = state["path"]
+            path, witnesses = state["path"], state["witnesses"]
+            stats = SearchStats.from_dict(state["stats"])
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"malformed skeleton state: {exc!r}") from None
         if parts != self.skeleton.parts:
@@ -761,7 +773,11 @@ class _SkeletonSearch:
             )
         if type(exhausted) is not bool or type(started) is not bool:
             raise CheckpointError("exhausted and started must be booleans")
+        self.stats = stats
+        self._restore_witnesses(witnesses)
         self.exhausted = exhausted
+        if exhausted:
+            self.keys = set()
         if exhausted or not started:
             return
         if (not isinstance(path, list) or not path
@@ -798,6 +814,42 @@ class _SkeletonSearch:
                 )
             expanded, _ = res
 
+    def _restore_witnesses(self, payloads) -> None:
+        """Check a record's witnesses and rebuild the keys _visit keeps
+        from them.  Each must have order n, pass _is_witness, carry this
+        skeleton's arcs, and not repeat the class of an earlier one (its
+        _edge_key among their _orbit_keys, or its encoding where the
+        group is not kept); a decide record has none.  Raises
+        CheckpointError otherwise.  An orbit the search met that failed
+        the witness test is left out; its next member fails again."""
+        spec, parts = self.spec, list(self.skeleton.parts)
+        if not isinstance(payloads, list):
+            raise CheckpointError(f"witnesses of skeleton {parts} not a list")
+        if spec.mode == "decide" and payloads:
+            raise CheckpointError("decide checkpoint records witnesses")
+        for i, payload in enumerate(payloads):
+            try:
+                w = graph_from_payload(payload)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"malformed checkpoint witness: {exc!r}") from None
+            if (w.n != spec.n or w.arcs != frozenset(self.skeleton.arcs)
+                    or not _is_witness(spec, w)):
+                raise CheckpointError(
+                    f"witness {i} of skeleton {parts} is not an "
+                    f"({spec.r},1,{spec.g})-graph of order {spec.n} on "
+                    "its arcs"
+                )
+            autos, edges = self.group(), w.sorted_edges()
+            key = (_edge_key(edges, spec.n) if autos is not None
+                   else canonical_form(w).encoding)
+            if key in self.keys:
+                raise CheckpointError(
+                    f"witness {i} of skeleton {parts} repeats a class")
+            self.keys.update(
+                _orbit_keys(autos, edges) if autos is not None else [key])
+            self.witnesses.append(w)
+
 
 # ---------------------------------------------------------------------------
 # engine
@@ -811,36 +863,35 @@ def _is_witness(spec: SearchSpec, g: MixedGraph) -> bool:
 
 def _visit(job: tuple) -> tuple:
     """One visit to one skeleton: ``(search, quota, deadline)`` in,
-    ``(search, status, nodes used, visit stats, new witnesses)`` out.
+    ``(search, status, nodes used)`` out; the visit's counts and
+    witnesses are on the search.
 
     Only verified witnesses are kept: regular (r, 1) with girth exactly
     g.  In decide mode the first one ends the visit ("found").  In
     enumerate mode the skeleton group names the classes: completions of
     different skeletons are never isomorphic, and within one skeleton
-    the classes are the orbits of its group.  An orderly search emits
-    each orbit's least image once, along its one path.  Any other
-    enumeration maps the first emission of each orbit through the
-    skeleton group once and adds every image's key (_orbit_keys) to the
-    search's ``keys``; a later emission whose own key (_edge_key) is
-    among them is isomorphic to an earlier one, so it shares that one's
-    degrees, girth and class and is dropped before its graph is built.
-    A skeleton automorphism keeps the arcs, the degrees and the girth,
-    so every image is itself a completion that the search emits: the
-    keys are the labeled completions of the orbits met so far, and each
-    orbit costs one pass over the group.  Only a skeleton whose group
-    exceeds CANONICITY_CAP labels each witness canonically and keeps the
-    encodings as its ``keys``.  Either way each class is deduped on its
-    own skeleton, and the driver keeps every witness a visit returns.
-    Module level, so a process pool can run it on a copy of the search.
+    the classes are the orbits of its group.  The first emission of
+    each orbit is mapped through the skeleton group once, and every
+    image's key (_orbit_keys) is added to the search's ``keys``; a later
+    emission whose own key (_edge_key) is among them is isomorphic to an
+    earlier one, so it shares that one's degrees, girth and class and is
+    dropped before its graph is built.  A skeleton automorphism keeps
+    the arcs, the degrees and the girth, so every image is itself a
+    completion that the search emits: the keys are the labeled
+    completions of the orbits met so far, and each orbit costs one pass
+    over the group.  An orderly search emits each orbit's least image
+    once, along its one path, so it never meets its own keys; it keeps
+    them for the classes a resumed run restores, which it meets later.
+    Only a skeleton whose group exceeds CANONICITY_CAP labels each
+    witness canonically and keeps the encodings as its ``keys``.  Module
+    level, so a process pool can run it on a copy of the search.
     """
     search, quota, deadline = job
     spec = search.spec
-    stats = SearchStats()
-    found: list[MixedGraph] = []
 
     def emit(done: _SkeletonSearch) -> bool:
         autos = done.group() if spec.mode == "enumerate" else None
-        if autos is not None and not done.orderly:
+        if autos is not None:
             edges = done.edges
             if _edge_key(edges, done.n) in done.keys:
                 return False
@@ -853,11 +904,11 @@ def _visit(job: tuple) -> tuple:
             if enc in done.keys:
                 return False
             done.keys.add(enc)
-        found.append(g)
+        done.witnesses.append(g)
         return spec.mode == "decide"
 
-    status, used = search.run(quota, deadline, stats, emit)
-    return search, status, used, stats, found
+    status, used = search.run(quota, deadline, emit)
+    return search, status, used
 
 
 def search_order(
@@ -870,39 +921,33 @@ def search_order(
     outcome to resume; statistics accumulate across resumes and node
     budgets apply to the cumulative count.
 
-    The search visits the pending skeletons in rounds, in index order.
+    Each round visits the pending skeletons in order of the node quanta
+    they have done, fewest first, ties in index order, and grants each
+    the rest of its current quantum (ROTATION_QUANTUM in decide mode,
+    unbounded in enumerate mode).  The schedule is read off the
+    searches, so a resumed run visits them in the same cyclic order as
+    an uninterrupted one, and an interrupted visit is finished first.
     With ``workers`` > 1 a process pool runs each round's visits, and
-    the results are consumed in skeleton order under the same rules, so
+    the results are consumed in visit order under the same rules, so
     status, witnesses, statistics and checkpoint do not depend on
     ``workers``.  A pool visit granted more nodes than the budget left
-    it by the visits before it is rerun in process with the exact
-    quota when it used them.
+    it by the visits before it is rerun in process with the exact quota
+    when it used them.  The outcome sums the searches' statistics and
+    concatenates their witnesses in skeleton order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    stats = SearchStats()
     if spec.n * spec.r % 2 == 1:
         # an r-regular edge layer needs an even degree sum
-        return SearchOutcome("exhausted", [], stats)
-    skeletons = list(arc_skeletons(spec.n, spec.g))
-    if not skeletons:
-        return SearchOutcome("exhausted", [], stats)
-    searches = [_SkeletonSearch(spec, sk) for sk in skeletons]
-    witnesses: list[MixedGraph] = []
-    cursor = 0
-    visit_quota_left: float | None = None
+        return SearchOutcome("exhausted", [], SearchStats())
+    searches = [_SkeletonSearch(spec, sk)
+                for sk in arc_skeletons(spec.n, spec.g)]
+    if not searches:
+        return SearchOutcome("exhausted", [], SearchStats())
     if checkpoint is not None:
         _validate_checkpoint(spec, checkpoint, len(searches))
-        stats = SearchStats.from_dict(checkpoint["stats"])
-        try:
-            witnesses = [graph_from_payload(p) for p in checkpoint["witnesses"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint: {exc!r}") from None
-        for search, st in zip(searches, checkpoint["skeletons"]):
-            search.restore(st)
-        _restore_classes(spec, searches, witnesses)
-        cursor = checkpoint["cursor"]
-        visit_quota_left = checkpoint["visit_quota_left"]
+        for search, state in zip(searches, checkpoint["skeletons"]):
+            search.restore(state)
 
     deadline = None
     if spec.time_budget is not None:
@@ -912,39 +957,35 @@ def search_order(
     def budget_left() -> float:
         if spec.node_budget is None:
             return _INF
-        return spec.node_budget - stats.nodes
+        return spec.node_budget - sum(s.stats.nodes for s in searches)
 
-    def cut(idx: int, quota_left: float) -> SearchOutcome:
-        return SearchOutcome("budget_exceeded", witnesses, stats, {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "package_version": __version__,
-            "spec": spec.key(),
-            "cursor": idx,
-            "visit_quota_left": (
-                None if quota_left == _INF else int(quota_left)
-            ),
-            "stats": stats.as_dict(),
-            "skeletons": [s.to_state() for s in searches],
-            "witnesses": [graph_payload(w) for w in witnesses],
-        })
+    def outcome(status: str) -> SearchOutcome:
+        stats = SearchStats()
+        for s in searches:
+            stats.add(s.stats)
+        witnesses = [w for s in searches for w in s.witnesses]
+        checkpoint = None
+        if status == "budget_exceeded":
+            checkpoint = {
+                "format": CHECKPOINT_FORMAT,
+                "version": CHECKPOINT_VERSION,
+                "package_version": __version__,
+                "spec": spec.key(),
+                "skeletons": [s.to_state() for s in searches],
+            }
+        return SearchOutcome(status, witnesses, stats, checkpoint)
 
     def drive(mapper) -> SearchOutcome:
-        nonlocal cursor, visit_quota_left
         while True:
-            order = [i for i in range(cursor, len(searches))
-                     if not searches[i].exhausted]
+            order = sorted(
+                (i for i, s in enumerate(searches) if not s.exhausted),
+                key=lambda i: searches[i].stats.nodes // quantum,
+            )
             if not order:
-                if cursor == 0:
-                    break
-                cursor = 0
-                continue
-            cursor = 0
-            quotas = [quantum] * len(order)
-            if visit_quota_left is not None:
-                # a resumed search finishes its interrupted visit first
-                # so the rotation schedule matches an uninterrupted run
-                quotas[0], visit_quota_left = visit_quota_left, None
+                found = any(s.witnesses for s in searches)
+                return outcome("found" if found else "exhausted")
+            quotas = [quantum - searches[i].stats.nodes % quantum
+                      for i in order]
             granted: list[float] = []
 
             def jobs():
@@ -956,25 +997,22 @@ def search_order(
 
             results = mapper(_visit, jobs())
             for k, (idx, quota) in enumerate(zip(order, quotas)):
-                if budget_left() <= 0:
-                    return cut(idx, quota)
-                search, status, used, visit_stats, found = next(results)
+                # read before next(): an in-process visit counts into
+                # the search itself
                 exact = min(quota, budget_left())
+                if exact <= 0:
+                    return outcome("budget_exceeded")
+                search, status, used = next(results)
                 if granted[k] > exact and used >= exact:
-                    search, status, used, visit_stats, found = _visit(
+                    search, status, used = _visit(
                         (searches[idx], exact, deadline)
                     )
                 searches[idx] = search
-                stats.add(visit_stats)
-                witnesses.extend(found)
                 if status == "found":
-                    return SearchOutcome("found", witnesses, stats)
+                    return outcome("found")
                 if status == "paused" and used < quota:
                     # stopped by the global budget or the deadline
-                    return cut(idx, quota - used)
-        return SearchOutcome(
-            "found" if witnesses else "exhausted", witnesses, stats
-        )
+                    return outcome("budget_exceeded")
 
     if workers == 1:
         return drive(map)
@@ -989,7 +1027,8 @@ def search_order(
 
 def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
     """A checkpoint recorded for other parameters raises ValueError; one
-    that is malformed raises CheckpointError."""
+    that is malformed raises CheckpointError.  The skeleton records are
+    checked as they are restored."""
     if not isinstance(cp, dict) or cp.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a search checkpoint")
     if cp.get("version") != CHECKPOINT_VERSION:
@@ -1000,54 +1039,9 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
         raise ValueError(
             f"checkpoint spec {cp.get('spec')} does not match {spec.key()}"
         )
-    missing = [k for k in ("cursor", "visit_quota_left", "stats",
-                           "skeletons", "witnesses")
-               if k not in cp]
-    if missing:
-        raise CheckpointError(f"checkpoint lacks {missing}")
-    if (not isinstance(cp["skeletons"], list)
-            or len(cp["skeletons"]) != n_skeletons):
+    skeletons = cp.get("skeletons")
+    if not isinstance(skeletons, list) or len(skeletons) != n_skeletons:
         raise CheckpointError("checkpoint skeleton list does not match")
-    if type(cp["cursor"]) is not int or not 0 <= cp["cursor"] < n_skeletons:
-        raise CheckpointError(f"checkpoint cursor {cp['cursor']!r} out of range")
-    quota = cp["visit_quota_left"]
-    if quota is not None and (type(quota) is not int or quota < 0):
-        raise CheckpointError(f"checkpoint visit quota {quota!r} is invalid")
-
-
-def _restore_classes(
-    spec: SearchSpec, searches: list[_SkeletonSearch],
-    witnesses: list[MixedGraph]
-) -> None:
-    """Check a checkpoint's witnesses against the restored searches and
-    rebuild the class keys _visit keeps.  Each witness must have order
-    n, pass _is_witness, carry the arcs of one skeleton, and not repeat
-    a class an earlier witness on that skeleton holds (its _edge_key
-    among the _orbit_keys of those, or its encoding where the group is
-    not kept); a decide checkpoint has none.  Raises CheckpointError
-    otherwise.  The keys go to the skeletons that are unfinished and not
-    orderly, the only ones that read them.  An orbit the search met that
-    failed the witness test is left out; its next member fails again."""
-    if spec.mode == "decide" and witnesses:
-        raise CheckpointError("decide checkpoint records witnesses")
-    owner = {frozenset(s.skeleton.arcs): k for k, s in enumerate(searches)}
-    keys: list[set[bytes]] = [set() for _ in searches]
-    for i, w in enumerate(witnesses):
-        k = owner.get(w.arcs)
-        if w.n != spec.n or k is None or not _is_witness(spec, w):
-            raise CheckpointError(
-                f"checkpoint witness {i} is not an ({spec.r},1,{spec.g})-"
-                f"graph of order {spec.n} on a skeleton's arcs"
-            )
-        seen, autos, edges = keys[k], searches[k].group(), w.sorted_edges()
-        key = (_edge_key(edges, spec.n) if autos is not None
-               else canonical_form(w).encoding)
-        if key in seen:
-            raise CheckpointError(f"checkpoint witness {i} repeats a class")
-        seen.update(_orbit_keys(autos, edges) if autos is not None else [key])
-    for search, seen in zip(searches, keys):
-        if not (search.exhausted or search.orderly):
-            search.keys = seen
 
 
 def determine_cage_number(

@@ -99,6 +99,25 @@ def test_girth_json(g30_matrix):
     assert len(payload["witness"]["vertices"]) == 7
 
 
+def test_girth_human_witness(g30_matrix):
+    code, out, _ = cli(["girth", "-"], stdin_text=g30_matrix)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "girth: 6"
+    assert lines[1] == "witness: 0 -> 1 -> 2 -> 3 -> 4 -> 5 -- 0"
+
+
+def test_aut_human(g30_matrix):
+    code, out, _ = cli(["aut", "-"], stdin_text=g30_matrix)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "automorphism group order: 20"
+    generators = [line for line in lines if line.startswith("  generator: (")]
+    assert generators and len(generators) == len(lines) - 2
+    assert lines[-1] == ("structure: abelian, max element order 10 "
+                         "= Z2 x Z10")
+
+
 def test_aut_json(g30_matrix):
     code, out, _ = cli(["aut", "-", "--json"], stdin_text=g30_matrix)
     payload = json.loads(out)
@@ -292,6 +311,24 @@ def test_search_auto():
     assert payload["provenance"] == "bound-matched"
 
 
+def test_search_auto_human():
+    code, out, _ = cli(["search", "--r", "3", "--g", "3", "--auto"])
+    assert code == 0
+    assert out.splitlines()[0] == "f(3,1,3) = 6 (bound-matched)"
+    assert "orders proven empty" not in out
+
+
+def test_search_auto_inconclusive_json():
+    code, out, _ = cli(["search", "--r", "3", "--g", "5", "--auto",
+                        "--n-max", "21", "--json"])
+    assert code == 4
+    assert json.loads(out) == {
+        "status": "inconclusive",
+        "reason": "no witness up to order cap 21",
+        "exhausted_orders": [20, 21],
+    }
+
+
 def test_usage_errors():
     code, _, err = cli(["search", "--r", "3", "--g", "6"])
     assert code == 2
@@ -455,13 +492,11 @@ def _corrupted_checkpoint(tmp_path, corrupt):
 
 
 def _plant_unfound_class(state, active):
-    """Append a (3,1,4)@12 class the cut has not reached, relabeled by
-    v -> 11 - v so that its arc cycles run backwards, on no skeleton's
-    arcs.  Format 1 also listed each witness's encoding in seen_forms
-    and trusted them; listing the planted one there too leaves the arcs
-    as the only thing that can give it away."""
+    """Append to the active skeleton's record a (3,1,4)@12 class the cut
+    has not reached, relabeled by v -> 11 - v so that its arc cycles run
+    backwards, on no skeleton's arcs."""
     found = {canonical_form(search_module.graph_from_payload(w)).encoding
-             for w in state["witnesses"]}
+             for sk in state["skeletons"] for w in sk["witnesses"]}
     every = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate"))
     new = next(w for w in every.witnesses
                if canonical_form(w).encoding not in found)
@@ -469,10 +504,13 @@ def _plant_unfound_class(state, active):
     def flip(pairs):
         return [(11 - a, 11 - b) for a, b in pairs]
 
-    state["witnesses"].append(search_module.graph_payload(
+    active["witnesses"].append(search_module.graph_payload(
         new_graph(12, flip(new.edges), flip(new.arcs))))
-    if "seen_forms" in state:
-        state["seen_forms"].append(canonical_form(new).encoding.hex())
+
+
+def _repeat_first_witness(state, active):
+    record = next(sk for sk in state["skeletons"] if sk["witnesses"])
+    record["witnesses"].append(record["witnesses"][0])
 
 
 @pytest.mark.parametrize(
@@ -482,19 +520,18 @@ def _plant_unfound_class(state, active):
         lambda state, active: state["skeletons"][0].__setitem__(
             "parts", [6, 6]),
         # counts that would crash the resume or be trusted into its stats
-        lambda state, active: state["stats"].__setitem__("nodes", "500"),
-        lambda state, active: state["stats"].__setitem__(
+        lambda state, active: active["stats"].__setitem__("nodes", "500"),
+        lambda state, active: active["stats"].__setitem__(
             "nodes", -1_000_000_000),
-        lambda state, active: state["stats"].__setitem__(
+        lambda state, active: active["stats"].__setitem__(
             "girth_prunes", 1.5),
-        lambda state, active: state["stats"].__setitem__(
+        lambda state, active: active["stats"].__setitem__(
             "canonicity_prunes", True),
         # witnesses and classes that would be trusted into the result
-        lambda state, active: state["witnesses"].append(
+        lambda state, active: active["witnesses"].append(
             {"n": 12, "edges": [[0, 1]], "arcs": []}),
         _plant_unfound_class,
-        lambda state, active: state["witnesses"].append(
-            state["witnesses"][0]),
+        _repeat_first_witness,
     ],
     ids=["path-index", "parts", "stats-string", "stats-negative",
          "stats-float", "stats-bool", "witness-invalid",
@@ -508,6 +545,21 @@ def test_corrupt_checkpoint_is_io_error(tmp_path, corrupt):
     )
     assert code == 3
     assert "corrupt checkpoint" in err
+    assert out == ""
+
+
+def test_version_2_checkpoint_is_io_error(tmp_path):
+    """Version 2 kept the statistics, the witnesses and the schedule
+    position at the top level; it is refused, not migrated."""
+    cp = tmp_path / "cp.json"
+    cp.write_text(json.dumps({"format": "mixedcages-checkpoint",
+                              "version": 2}))
+    code, out, err = cli(
+        ["search", "--r", "3", "--g", "4", "--n", "12", "--enumerate",
+         "--checkpoint", str(cp)]
+    )
+    assert code == 3
+    assert "unsupported checkpoint version 2" in err
     assert out == ""
 
 

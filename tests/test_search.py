@@ -288,6 +288,35 @@ def test_determine_cage_number_cap_below_bound():
         determine_cage_number(3, 6, 29)
 
 
+def test_determine_cage_number_search_determined(monkeypatch):
+    """A value above the lower bound is "search-determined" and lists
+    the orders proven empty below it.  Every small (r, g) is
+    bound-matched, so the bound is lowered to 4 for (3,1,3): order 4
+    has no room for the arcs beside K4, and order 5 has an odd degree
+    sum."""
+    monkeypatch.setattr(search_module, "ahm_bound", lambda r, g: 4)
+    result = determine_cage_number(3, 3, 10)
+    assert result.value == 6
+    assert result.provenance == "search-determined"
+    assert result.exhausted_below == (4, 5)
+    assert degree_profile(result.witness).regular == (3, 1)
+    assert girth(result.witness).girth == 3
+
+
+@pytest.mark.parametrize("kwargs,reason", [
+    (dict(n_max=21), "no witness up to order cap 21"),
+    (dict(n_max=25, node_budget=10_000), "budget exceeded at order 22"),
+], ids=["order-cap", "budget"])
+def test_determine_cage_number_inconclusive(kwargs, reason):
+    """(3,1,5) from its bound 20: order 20 exhausts in 9,688 nodes and
+    order 21 has an odd degree sum, so both are proven empty before the
+    order cap, or the node budget at order 22, stops the scan."""
+    with pytest.raises(InconclusiveError) as exc:
+        determine_cage_number(3, 5, **kwargs)
+    assert str(exc.value) == reason
+    assert exc.value.exhausted_orders == (20, 21)
+
+
 def test_determinism():
     a = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate"))
     b = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate"))
@@ -492,14 +521,14 @@ def _active_skeleton(cp):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda cp: cp.pop("stats"),
-        lambda cp: cp.__setitem__("cursor", 99),
-        lambda cp: cp.__setitem__("visit_quota_left", "740"),
+        lambda cp: _active_skeleton(cp).pop("stats"),
+        lambda cp: _active_skeleton(cp).pop("witnesses"),
+        lambda cp: _active_skeleton(cp)["stats"].__setitem__("nodes", "740"),
         lambda cp: cp["skeletons"].pop(),
         lambda cp: cp["skeletons"][0].pop("path"),
         lambda cp: _active_skeleton(cp).__setitem__("path", "3,1"),
         lambda cp: _active_skeleton(cp).__setitem__("path", []),
-        lambda cp: cp["stats"].pop("nodes"),
+        lambda cp: _active_skeleton(cp)["stats"].pop("nodes"),
         lambda cp: cp.__setitem__("format", "something-else"),
         lambda cp: cp["skeletons"][0].__setitem__("parts", [6, 6]),
         lambda cp: _active_skeleton(cp)["path"].__setitem__(0, 10_000),
@@ -508,6 +537,9 @@ def _active_skeleton(cp):
         lambda cp: _active_skeleton(cp)["path"].__setitem__(0, 0),
         # format 1, which also listed the witnesses' encodings
         lambda cp: cp.update(version=1, seen_forms=[]),
+        # format 2, which kept the statistics, the witnesses and the
+        # schedule position at the top level
+        lambda cp: cp.update(version=2, cursor=0, visit_quota_left=None),
     ],
 )
 def test_malformed_checkpoint_rejected(corrupt):
@@ -526,7 +558,9 @@ def test_repeated_witness_rejected(monkeypatch, policy, cap):
     monkeypatch.setattr(search_module, "CANONICITY_CAP", cap)
     spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy)
     cut = search_order(dataclasses.replace(spec, node_budget=500))
-    first = search_module.graph_from_payload(cut.checkpoint["witnesses"][0])
+    k, record = next((k, sk) for k, sk in enumerate(cut.checkpoint["skeletons"])
+                     if sk["witnesses"])
+    first = search_module.graph_from_payload(record["witnesses"][0])
     parts = next(sk.parts for sk in arc_skeletons(12, 4)
                  if frozenset(sk.arcs) == first.arcs)
     images = (new_graph(12, [(p[a], p[b]) for a, b in first.edges],
@@ -535,16 +569,45 @@ def test_repeated_witness_rejected(monkeypatch, policy, cap):
     moved = next(g for g in images if g.edges != first.edges)
     for repeat in (first, moved):
         cp = json.loads(json.dumps(cut.checkpoint))
-        cp["witnesses"].append(search_module.graph_payload(repeat))
+        cp["skeletons"][k]["witnesses"].append(
+            search_module.graph_payload(repeat))
         with pytest.raises(CheckpointError, match="repeats a class"):
             search_order(spec, checkpoint=cp)
+
+
+@pytest.mark.parametrize("policy", ["lex", "focus"])
+def test_resume_drops_a_recorded_class_it_meets_again(policy):
+    """A checkpoint record may hold a verified witness of a class the
+    cut has not reached, in its own labeling, so on its skeleton's arcs
+    and as the search will emit it.  The restored keys of that skeleton
+    drop the class when the resumed search meets it, under lex (orderly
+    skeletons) as under focus: one witness per class, 29, the same
+    graphs as the uninterrupted run."""
+    spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy)
+    full = search_order(spec)
+    cut = search_order(dataclasses.replace(spec, node_budget=400))
+    reached = {canonical_form(w).encoding for w in cut.witnesses}
+    planted = next(w for w in full.witnesses
+                   if canonical_form(w).encoding not in reached)
+    cp = json.loads(json.dumps(cut.checkpoint))
+    record = next(state for state, sk in zip(cp["skeletons"],
+                                             arc_skeletons(12, 4))
+                  if frozenset(sk.arcs) == planted.arcs)
+    assert not record["exhausted"]
+    record["witnesses"].append(search_module.graph_payload(planted))
+    out = search_order(spec, checkpoint=cp)
+    assert out.status == "found"
+    assert len(out.witnesses) == 29
+    assert len({canonical_form(w).encoding for w in out.witnesses}) == 29
+    assert sorted(w.sorted_edges() for w in out.witnesses) == sorted(
+        w.sorted_edges() for w in full.witnesses)
 
 
 def test_checkpoint_records_package_version():
     """The package version is provenance only: a checkpoint without it,
     or from another version, resumes to the uninterrupted statistics."""
     spec, cp = _cut_checkpoint()
-    assert cp["version"] == 2
+    assert cp["version"] == 3
     assert cp["package_version"] == __version__
     full = search_order(spec).stats.as_dict()
     for recorded in (None, "0.0.0"):
@@ -992,9 +1055,10 @@ def test_enumerate_witnesses_are_pinned(monkeypatch, policy):
     chain, checkpoints = _resume_chain(spec, (2000, 4000, 6000))
     assert _witness_digest(chain.witnesses) == PINNED_WITNESSES[policy]
     assert chain.stats == plain.stats
-    assert all(cp["witnesses"] for cp in checkpoints)
-    assert len(labeled) == 2 * 724 + sum(len(cp["witnesses"])
-                                         for cp in checkpoints)
+    recorded = [sum(len(sk["witnesses"]) for sk in cp["skeletons"])
+                for cp in checkpoints]
+    assert all(recorded)
+    assert len(labeled) == 2 * 724 + sum(recorded)
 
 
 # node counts inside the (12,), (8,4), (6,6) and (4,4,4) skeletons of the
@@ -1008,9 +1072,10 @@ def test_focus_resume_chain_restores_orbit_keys(monkeypatch):
     straddles a cut is not emitted twice: a chain cut inside four
     skeletons ends with the uninterrupted witness list and statistics.
     A resume with no nodes left stops before its first visit, holding
-    the searches as the next hop starts; their keys are exactly the
-    orbits of the checkpoint witnesses on their skeletons (none once a
-    skeleton is exhausted), and the checkpoint it writes is unchanged."""
+    the searches as the next hop starts; each holds its record's
+    statistics, its keys are exactly the orbits of its record's
+    witnesses (none once the skeleton is exhausted), and the checkpoint
+    it writes is unchanged."""
     spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="focus")
     out, checkpoints = _resume_chain(spec, FOCUS_CUTS)
     assert _witness_digest(out.witnesses) == PINNED_WITNESSES["focus"]
@@ -1026,20 +1091,19 @@ def test_focus_resume_chain_restores_orbit_keys(monkeypatch):
     restored_keys = 0
     for cp in checkpoints:
         live.clear()
-        nodes = cp["stats"]["nodes"]
+        nodes = sum(sk["stats"]["nodes"] for sk in cp["skeletons"])
         held = search_order(dataclasses.replace(spec, node_budget=nodes),
                             checkpoint=cp)
         assert held.checkpoint == cp
-        witnesses = [search_module.graph_from_payload(w)
-                     for w in cp["witnesses"]]
         for search, state in zip(live, cp["skeletons"]):
-            arcs = frozenset(search.skeleton.arcs)
+            assert search.stats.as_dict() == state["stats"]
             autos = _skeleton_autos(search.skeleton.parts)
             expected = set()
             if not state["exhausted"]:
-                for w in witnesses:
-                    if w.arcs == arcs:
-                        expected.update(_orbit_keys(autos, w.sorted_edges()))
+                for w in state["witnesses"]:
+                    w = search_module.graph_from_payload(w)
+                    assert w.arcs == frozenset(search.skeleton.arcs)
+                    expected.update(_orbit_keys(autos, w.sorted_edges()))
             assert search.keys == expected, search.skeleton.parts
             restored_keys += len(expected)
     assert restored_keys > 0
@@ -1050,9 +1114,10 @@ def test_emissions_reuse_least_images_and_build_one_graph_per_orbit(
 ):
     """Under lex the orderly test already admits one edge set per orbit,
     so (3,1,4)@12 maps its edge lists through the group once per node
-    (1,509) and not once more per emission; under focus only the 29
-    emissions that reach a new orbit map theirs through the group and
-    build a graph, not all 724."""
+    (1,509) and once more per emission, for the orbit keys a resumed run
+    checks (1,538); under focus only the 29 emissions that reach a new
+    orbit map theirs through the group and build a graph, not all
+    724."""
     calls = {"codes": 0, "graph": 0}
 
     def counting(name, real):
@@ -1067,7 +1132,8 @@ def test_emissions_reuse_least_images_and_build_one_graph_per_orbit(
                         counting("graph", search_module.new_graph))
     lex = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate",
                                   branch_policy="lex"))
-    assert lex.stats.nodes == calls["codes"] == 1509
+    assert lex.stats.nodes == 1509
+    assert calls["codes"] == 1509 + len(lex.witnesses) == 1538
     calls.update(codes=0, graph=0)
     focus = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate",
                                     branch_policy="focus"))
@@ -1091,12 +1157,10 @@ def _completions_by_class(spec, skeleton):
                 first_keys[enc] = set(_orbit_keys(done.group(), done.edges))
         return False
 
-    stats = SearchStats()
-    status, _ = _SkeletonSearch(spec, skeleton).run(
-        float("inf"), None, stats, emit
-    )
+    search = _SkeletonSearch(spec, skeleton)
+    status, _ = search.run(float("inf"), None, emit)
     assert status == "exhausted"
-    return emitted, graphs, first_keys, stats
+    return emitted, graphs, first_keys, search.stats
 
 
 def _check_orbit_counts(spec, skeleton):
