@@ -262,7 +262,7 @@ def _cmd_bounds(args, stdin, stdout, stderr) -> int:
     try:
         table = [[d, moore_bound(args.r, d)] for d in range(args.g + 1)]
         ahm = ahm_bound(args.r, args.g)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise _UsageError(str(exc))
     if args.json:
         _emit_json(stdout, {
@@ -511,8 +511,9 @@ def _cmd_search_auto(args, stdout) -> int:
         else:
             print(f"inconclusive: {exc}", file=stdout)
         return EXIT_BUDGET
-    except ValueError as exc:
-        # InconclusiveError is a ValueError too, so it is caught first
+    except (ValueError, OverflowError) as exc:
+        # InconclusiveError is a ValueError too, so it is caught first;
+        # OverflowError is a bound too large to compute
         raise _UsageError(str(exc))
     if args.json:
         _emit_json(stdout, {

@@ -48,22 +48,24 @@ a set lookup of its own, so an enumeration maps each orbit through the
 group once and checks the girth of one graph per class, not every
 emission.  Only a skeleton whose group exceeds the cap labels every
 witness canonically and keeps the encodings as its keys instead.  So
-each class is deduped in one place, its skeleton's search.
+each class is decided in one place, its skeleton search's ``_admit``,
+which every completion a visit reaches and every witness a checkpoint
+records passes alike.
 
 Each skeleton's search is also the one home of its state: its
 depth-first position, its class keys, its statistics and its verified
-witnesses.  One driver serves every run: it visits the pending
-skeletons in rounds, each visit a node quota on one skeleton, whether
-they run in process or in a pool of worker processes, so results never
-depend on the number of workers.  The schedule is read off the
-searches' node counts, and the outcome is their sum and the
-concatenation of their witnesses in skeleton order.  Searches are
-resumable: the depth-first position is the list of combination indices
-per level, and combination lists are recomputed deterministically on
-replay, so a budget-interrupted run serializes to a small checkpoint,
-the list of skeleton states, and the resumed run reproduces identical
-statistics.  Each restored search checks its own witnesses and
-rebuilds its keys from them.
+witnesses, and its ``visit`` is the unit of work.  One driver serves
+every run: it visits the pending skeletons in rounds, each visit a node
+quota on one skeleton, whether they run in process or in a pool of
+worker processes, so results never depend on the number of workers.
+The schedule is read off the searches' node counts, and the outcome is
+their sum and the concatenation of their witnesses in skeleton order.
+Searches are resumable: the depth-first position is the list of
+combination indices per level, and combination lists are recomputed
+deterministically on replay, so a budget-interrupted run serializes to a
+small checkpoint, the list of skeleton states, and the resumed run
+reproduces identical statistics.  Each restored search admits its recorded witnesses again,
+which checks them and rebuilds its keys.
 """
 
 from __future__ import annotations
@@ -514,7 +516,7 @@ class _SkeletonSearch:
         )
         self.orderly = self.policy == "lex" and self.use_group
         self._autos: _np.ndarray | None = None
-        # the classes an enumeration has met here (see _visit); kept
+        # the classes an enumeration has met here (see _admit); kept
         # across visits, dropped once the skeleton is exhausted
         self.keys: set[bytes] = set()
         self.stack: list[_Frame] = []
@@ -683,15 +685,14 @@ class _SkeletonSearch:
                 return None
         return self._expand()
 
-    def run(self, quota: float, deadline: float | None,
-            emit) -> tuple[str, int]:
+    def visit(self, quota: float,
+              deadline: float | None) -> tuple[_SkeletonSearch, str, int]:
         """Advance an unexhausted skeleton until the node quota or
-        deadline is consumed, the emit callback accepts a complete edge
-        set (decide), or the skeleton is exhausted, counting into
-        ``stats``.  Returns ("found" | "paused" | "exhausted", nodes
-        consumed this visit).  ``emit`` gets this search in each
-        complete state and reads what it needs: ``edges``, ``group()``
-        and ``keys``, and ``_graph()`` only for the edge sets it keeps.
+        deadline is consumed, a decide search admits a witness, or the
+        skeleton is exhausted, counting into ``stats``; each complete
+        state goes to _admit.  Returns (this search, "found" | "paused" |
+        "exhausted", nodes consumed this visit), so a process pool can
+        run it on a copy and send the copy back.
 
         The first visit expands the root, the bare skeleton, which costs
         no node.  It is never complete, since every vertex lacks all r
@@ -709,9 +710,9 @@ class _SkeletonSearch:
                 stats.infeasible_prunes += 1
         while self.stack:
             if used >= quota:
-                return "paused", used
+                return self, "paused", used
             if deadline is not None and time.monotonic() > deadline:
-                return "paused", used
+                return self, "paused", used
             frame = self.stack[-1]
             if frame.next_idx >= len(frame.combos):
                 self.stack.pop()
@@ -732,16 +733,56 @@ class _SkeletonSearch:
                 stats.infeasible_prunes += 1
                 self._pop_batch()
             elif state == "complete":
-                done = emit(self)
+                found = self._admit(self.edges) and self.spec.mode == "decide"
                 self._pop_batch()
-                if done:
-                    return "found", used
+                if found:
+                    return self, "found", used
         self.exhausted = True
         self.keys = set()
-        return "exhausted", used
+        return self, "exhausted", used
 
-    def _graph(self) -> MixedGraph:
-        return new_graph(self.n, self.edges, list(self.skeleton.arcs))
+    def _admit(self, edges: list[Pair],
+               graph: MixedGraph | None = None) -> bool:
+        """The one class test: keep the edge set on this skeleton's arcs
+        (``graph``, when already built) as a witness if it is verified
+        and, in enumerate mode, of a class not met before.
+
+        A witness is regular (r, 1) with girth exactly g.  In enumerate
+        mode the skeleton group names the classes: completions of
+        different skeletons are never isomorphic, and within one skeleton
+        the classes are the orbits of its group.  The first edge set of
+        each orbit is mapped through the group once, and every image's
+        key (_orbit_keys) is added to ``keys``; a later one whose own key
+        (_edge_key) is among them is isomorphic to an earlier one, so it
+        shares that one's degrees, girth and class and is dropped before
+        its graph is built.  A skeleton automorphism keeps the arcs, the
+        degrees and the girth, so every image is itself a completion that
+        the search reaches: the keys are the labeled completions of the
+        orbits met so far, and each orbit costs one pass over the group.
+        An orderly search reaches each orbit's least image once, along
+        its one path, so it never meets its own keys; it keeps them for
+        the classes a resumed run restores, which it meets later.  Only a
+        skeleton whose group exceeds CANONICITY_CAP labels each witness
+        canonically and keeps the encodings as its ``keys``.  Decide mode
+        keeps no keys: its first witness ends the search."""
+        spec = self.spec
+        autos = self.group() if spec.mode == "enumerate" else None
+        if autos is not None:
+            if _edge_key(edges, self.n) in self.keys:
+                return False
+            self.keys.update(_orbit_keys(autos, edges))
+        if graph is None:
+            graph = new_graph(self.n, edges, list(self.skeleton.arcs))
+        if (degree_profile(graph).regular != (spec.r, 1)
+                or girth(graph).girth != spec.g):
+            return False
+        if spec.mode == "enumerate" and autos is None:
+            enc = canonical_form(graph).encoding
+            if enc in self.keys:
+                return False
+            self.keys.add(enc)
+        self.witnesses.append(graph)
+        return True
 
     # -- suspension
 
@@ -815,11 +856,11 @@ class _SkeletonSearch:
             expanded, _ = res
 
     def _restore_witnesses(self, payloads) -> None:
-        """Check a record's witnesses and rebuild the keys _visit keeps
-        from them.  Each must have order n, pass _is_witness, carry this
-        skeleton's arcs, and not repeat the class of an earlier one (its
-        _edge_key among their _orbit_keys, or its encoding where the
-        group is not kept); a decide record has none.  Raises
+        """Admit a record's witnesses again, which checks them and
+        rebuilds the keys from them.  Each must have order n and carry
+        this skeleton's arcs, checked first since _admit indexes by
+        vertex, and _admit must keep it: a verified witness of a class
+        not met before.  A decide record has none.  Raises
         CheckpointError otherwise.  An orbit the search met that failed
         the witness test is left out; its next member fails again."""
         spec, parts = self.spec, list(self.skeleton.parts)
@@ -834,81 +875,16 @@ class _SkeletonSearch:
                 raise CheckpointError(
                     f"malformed checkpoint witness: {exc!r}") from None
             if (w.n != spec.n or w.arcs != frozenset(self.skeleton.arcs)
-                    or not _is_witness(spec, w)):
+                    or not self._admit(w.sorted_edges(), w)):
                 raise CheckpointError(
                     f"witness {i} of skeleton {parts} is not an "
                     f"({spec.r},1,{spec.g})-graph of order {spec.n} on "
-                    "its arcs"
+                    "its arcs, or repeats a class"
                 )
-            autos, edges = self.group(), w.sorted_edges()
-            key = (_edge_key(edges, spec.n) if autos is not None
-                   else canonical_form(w).encoding)
-            if key in self.keys:
-                raise CheckpointError(
-                    f"witness {i} of skeleton {parts} repeats a class")
-            self.keys.update(
-                _orbit_keys(autos, edges) if autos is not None else [key])
-            self.witnesses.append(w)
 
 
 # ---------------------------------------------------------------------------
 # engine
-
-
-def _is_witness(spec: SearchSpec, g: MixedGraph) -> bool:
-    """Whether g is (r,1)-regular with girth exactly g, as spec asks."""
-    return (degree_profile(g).regular == (spec.r, 1)
-            and girth(g).girth == spec.g)
-
-
-def _visit(job: tuple) -> tuple:
-    """One visit to one skeleton: ``(search, quota, deadline)`` in,
-    ``(search, status, nodes used)`` out; the visit's counts and
-    witnesses are on the search.
-
-    Only verified witnesses are kept: regular (r, 1) with girth exactly
-    g.  In decide mode the first one ends the visit ("found").  In
-    enumerate mode the skeleton group names the classes: completions of
-    different skeletons are never isomorphic, and within one skeleton
-    the classes are the orbits of its group.  The first emission of
-    each orbit is mapped through the skeleton group once, and every
-    image's key (_orbit_keys) is added to the search's ``keys``; a later
-    emission whose own key (_edge_key) is among them is isomorphic to an
-    earlier one, so it shares that one's degrees, girth and class and is
-    dropped before its graph is built.  A skeleton automorphism keeps
-    the arcs, the degrees and the girth, so every image is itself a
-    completion that the search emits: the keys are the labeled
-    completions of the orbits met so far, and each orbit costs one pass
-    over the group.  An orderly search emits each orbit's least image
-    once, along its one path, so it never meets its own keys; it keeps
-    them for the classes a resumed run restores, which it meets later.
-    Only a skeleton whose group exceeds CANONICITY_CAP labels each
-    witness canonically and keeps the encodings as its ``keys``.  Module
-    level, so a process pool can run it on a copy of the search.
-    """
-    search, quota, deadline = job
-    spec = search.spec
-
-    def emit(done: _SkeletonSearch) -> bool:
-        autos = done.group() if spec.mode == "enumerate" else None
-        if autos is not None:
-            edges = done.edges
-            if _edge_key(edges, done.n) in done.keys:
-                return False
-            done.keys.update(_orbit_keys(autos, edges))
-        g = done._graph()
-        if not _is_witness(spec, g):
-            return False
-        if spec.mode == "enumerate" and autos is None:
-            enc = canonical_form(g).encoding
-            if enc in done.keys:
-                return False
-            done.keys.add(enc)
-        done.witnesses.append(g)
-        return spec.mode == "decide"
-
-    status, used = search.run(quota, deadline, emit)
-    return search, status, used
 
 
 def search_order(
@@ -937,15 +913,17 @@ def search_order(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if spec.n * spec.r % 2 == 1:
-        # an r-regular edge layer needs an even degree sum
+    if checkpoint is not None:
+        _validate_checkpoint(spec, checkpoint)
+    if spec.n * spec.r % 2 or spec.r >= spec.n:
+        # a simple r-regular edge layer needs an even degree sum and
+        # r < n; then the one-cycle skeleton (n) exists
         return SearchOutcome("exhausted", [], SearchStats())
     searches = [_SkeletonSearch(spec, sk)
                 for sk in arc_skeletons(spec.n, spec.g)]
-    if not searches:
-        return SearchOutcome("exhausted", [], SearchStats())
     if checkpoint is not None:
-        _validate_checkpoint(spec, checkpoint, len(searches))
+        if len(checkpoint["skeletons"]) != len(searches):
+            raise CheckpointError("checkpoint skeleton list does not match")
         for search, state in zip(searches, checkpoint["skeletons"]):
             search.restore(state)
 
@@ -988,14 +966,16 @@ def search_order(
                       for i in order]
             granted: list[float] = []
 
-            def jobs():
-                # builtin map pulls each job after the previous result
+            def grants():
+                # builtin map pulls each grant after the previous visit
                 # is merged; a pool takes the whole round up front
-                for idx, quota in zip(order, quotas):
+                for quota in quotas:
                     granted.append(min(quota, budget_left()))
-                    yield searches[idx], granted[-1], deadline
+                    yield granted[-1]
 
-            results = mapper(_visit, jobs())
+            results = mapper(_SkeletonSearch.visit,
+                             [searches[i] for i in order], grants(),
+                             [deadline] * len(order))
             for k, (idx, quota) in enumerate(zip(order, quotas)):
                 # read before next(): an in-process visit counts into
                 # the search itself
@@ -1004,9 +984,8 @@ def search_order(
                     return outcome("budget_exceeded")
                 search, status, used = next(results)
                 if granted[k] > exact and used >= exact:
-                    search, status, used = _visit(
-                        (searches[idx], exact, deadline)
-                    )
+                    search, status, used = searches[idx].visit(
+                        exact, deadline)
                 searches[idx] = search
                 if status == "found":
                     return outcome("found")
@@ -1025,10 +1004,10 @@ def search_order(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
+def _validate_checkpoint(spec: SearchSpec, cp: dict) -> None:
     """A checkpoint recorded for other parameters raises ValueError; one
-    that is malformed raises CheckpointError.  The skeleton records are
-    checked as they are restored."""
+    that is malformed raises CheckpointError.  The skeleton count and
+    records are checked as they are restored."""
     if not isinstance(cp, dict) or cp.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a search checkpoint")
     if cp.get("version") != CHECKPOINT_VERSION:
@@ -1039,8 +1018,7 @@ def _validate_checkpoint(spec: SearchSpec, cp: dict, n_skeletons: int) -> None:
         raise ValueError(
             f"checkpoint spec {cp.get('spec')} does not match {spec.key()}"
         )
-    skeletons = cp.get("skeletons")
-    if not isinstance(skeletons, list) or len(skeletons) != n_skeletons:
+    if not isinstance(cp.get("skeletons"), list):
         raise CheckpointError("checkpoint skeleton list does not match")
 
 

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import mixedcages.bounds as bounds_module
 import mixedcages.search as search_module
 from mixedcages import SearchSpec, canonical_form, new_graph, search_order
 from mixedcages.cli import _read_graph, run
@@ -418,7 +419,7 @@ def test_bad_budget_is_usage_error(order, budget):
     assert err.startswith("usage error:") and "budget" in err and out == ""
 
 
-def _die(job):
+def _die(*args):
     os._exit(1)
 
 
@@ -427,7 +428,7 @@ def _die(job):
     reason="workers see the patched visit only when forked",
 )
 def test_dead_worker_is_io_error(monkeypatch):
-    monkeypatch.setattr(search_module, "_visit", _die)
+    monkeypatch.setattr(search_module._SkeletonSearch, "visit", _die)
     code, out, err = cli(["search", "--r", "3", "--g", "4", "--n", "12",
                           "--threads", "2"])
     assert code == 3
@@ -474,6 +475,35 @@ def test_checkpoint_flag_mismatch_is_usage_error(tmp_path):
     )
     assert code == 2
     assert "does not match" in err
+    # an odd order ends the search at once, after the check
+    code, _, err = cli(
+        ["search", "--r", "3", "--g", "4", "--n", "13", "--enumerate",
+         "--checkpoint", str(cp)]
+    )
+    assert code == 2
+    assert "does not match" in err
+
+
+def test_corrupt_checkpoint_at_odd_order_is_io_error(tmp_path):
+    cp = tmp_path / "cp.json"
+    cp.write_text(json.dumps({"format": "junk"}))
+    code, out, err = cli(
+        ["search", "--r", "3", "--g", "4", "--n", "13", "--checkpoint",
+         str(cp)]
+    )
+    assert code == 3
+    assert "corrupt checkpoint" in err and out == ""
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["search", "--auto"]],
+                         ids=["bounds", "search-auto"])
+def test_bound_overflow_is_usage_error(monkeypatch, command):
+    """A bound too large to compute is a usage error, not a traceback
+    with exit 1, which means a negative verdict."""
+    monkeypatch.setattr(bounds_module, "_MAX_RESULT_BITS", 16)
+    code, out, err = cli(command + ["--r", "3", "--g", "20"])
+    assert code == 2
+    assert err.startswith("usage error:") and out == ""
 
 
 def _corrupted_checkpoint(tmp_path, corrupt):

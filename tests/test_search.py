@@ -229,6 +229,15 @@ def test_odd_degree_sum_is_instantly_empty():
     assert out.stats.nodes == 0
 
 
+@pytest.mark.parametrize("r", [4, 5, 10**30], ids=["r=n", "r>n", "r-huge"])
+def test_degree_not_below_order_is_instantly_empty(r):
+    """A simple r-regular edge layer needs r < n; at r >= n no search
+    state is built, so no integer type has to hold r."""
+    out = search_order(SearchSpec(r=r, g=3, n=4, mode="enumerate"))
+    assert out.status == "exhausted" and not out.witnesses
+    assert out.stats == SearchStats()
+
+
 def test_exhausted_is_a_nonexistence_proof():
     # n=5 admits no (2,1,4)-graph: oracle agrees
     out = search_order(SearchSpec(r=2, g=4, n=5, mode="enumerate"))
@@ -377,6 +386,12 @@ def test_checkpoint_spec_mismatch_rejected():
             SearchSpec(r=3, g=4, n=12, mode="decide"),
             checkpoint=cut.checkpoint,
         )
+    # an odd degree sum ends the search at once, after the check
+    with pytest.raises(ValueError, match="does not match"):
+        search_order(
+            SearchSpec(r=3, g=4, n=13, mode="enumerate"),
+            checkpoint=cut.checkpoint,
+        )
 
 
 _F5 = dict(r=3, g=5, n=20, mode="decide")
@@ -385,7 +400,14 @@ _WORKER_SPECS = [
     SearchSpec(r=3, g=6, n=30, mode="decide"),
     SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="lex"),
     SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="focus"),
-] + [SearchSpec(**_F5, node_budget=b) for b in (1, 999, 1000, 1001, 3000)]
+] + [SearchSpec(**_F5, node_budget=b) for b in (1, 999, 1000, 1001, 3000)] + [
+    # an enumerate quantum is unbounded, so each pool visit is granted
+    # the whole budget left and the one that overshoots is rerun
+    SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy,
+               node_budget=b)
+    for policy, budgets in (("lex", (400, 1000)), ("focus", (400, 2000, 5000)))
+    for b in budgets
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1145,20 +1167,21 @@ def _completions_by_class(spec, skeleton):
     skeleton, by canonical encoding: the keys of the emitted edge sets,
     one graph, and the orbit keys of the first emission."""
     emitted, graphs, first_keys = {}, {}, {}
+    search = _SkeletonSearch(spec, skeleton)
 
-    def emit(done):
-        g = done._graph()
+    def record(edges):
+        g = new_graph(spec.n, edges, list(skeleton.arcs))
         if (degree_profile(g).regular == (spec.r, 1)
                 and girth(g).girth == spec.g):
             enc = canonical_form(g).encoding
-            emitted.setdefault(enc, []).append(_edge_key(done.edges, spec.n))
+            emitted.setdefault(enc, []).append(_edge_key(edges, spec.n))
             if enc not in graphs:
                 graphs[enc] = g
-                first_keys[enc] = set(_orbit_keys(done.group(), done.edges))
+                first_keys[enc] = set(_orbit_keys(search.group(), edges))
         return False
 
-    search = _SkeletonSearch(spec, skeleton)
-    status, _ = search.run(float("inf"), None, emit)
+    search._admit = record
+    _, status, _ = search.visit(float("inf"), None)
     assert status == "exhausted"
     return emitted, graphs, first_keys, search.stats
 
