@@ -260,7 +260,10 @@ def _graph_text(g: MixedGraph) -> str:
 
 def _cmd_bounds(args, stdin, stdout, stderr) -> int:
     try:
-        table = [[d, moore_bound(args.r, d)] for d in range(args.g + 1)]
+        # deepest row first: a bound too large to compute is refused
+        # before any row is built, and every shallower row is smaller
+        table = [[d, moore_bound(args.r, d)]
+                 for d in range(args.g, -1, -1)][::-1]
         ahm = ahm_bound(args.r, args.g)
     except (ValueError, OverflowError) as exc:
         raise _UsageError(str(exc))

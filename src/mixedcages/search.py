@@ -66,6 +66,23 @@ deterministically on replay, so a budget-interrupted run serializes to a
 small checkpoint, the list of skeleton states, and the resumed run
 reproduces identical statistics.  Each restored search admits its recorded witnesses again,
 which checks them and rebuilds its keys.
+
+There is one depth-first loop, ``_round``, and a visit is a round of
+one search.  In process, an unbudgeted run visits a round's searches
+in lockstep: each step every live search takes its next combination,
+and the children are descended together, with one stacked distance
+update and one stacked pass for the free pairs and the slack over all
+of them, since every small numpy call costs about the same whatever its
+size; each search then keeps its own degree state, frames and
+statistics.  A step with one descending search takes the plain path,
+which costs about half a stacked step of one.  The searches of a
+lockstep round are copies: those after a search that admits a witness,
+or after the first that a deadline cuts short, are dropped, so the
+outcome is that of visits in order.  A node-budgeted run visits one
+search at a time and grants each its quota when the visit before it is
+merged, so a budget never pays for nodes that are dropped, and so does
+a ``lex`` enumeration, whose orderly test on every child leaves a
+stacked step nothing to save.
 """
 
 from __future__ import annotations
@@ -409,10 +426,10 @@ def _least_image(autos: _np.ndarray, edges) -> _np.ndarray:
 class _Frame:
     __slots__ = ("vertex", "combos", "next_idx")
 
-    def __init__(self, vertex, combos):
+    def __init__(self, vertex, combos, next_idx=0):
         self.vertex = vertex
         self.combos = combos
-        self.next_idx = 0
+        self.next_idx = next_idx
 
 
 def _smallest_dtype(types: tuple, bound: int):
@@ -485,9 +502,10 @@ class _SkeletonSearch:
     partner of any degree stays exact.  The dtypes follow from the
     input size: ``dist`` is the smallest signed type holding
     2(g-1)+1, the largest sum the update forms (int8 up to g = 64), and
-    the counts and the base share the smallest signed type holding 2n
-    and r (int8 up to n = 63): a complete vertex's slack is below 2n,
-    and -r the least base, so the sum never leaves that type.
+    the counts, the base and the mask (1 for a deficient vertex, else 0)
+    share the smallest signed type holding 2n and r (int8 up to n = 63):
+    a complete vertex's slack is below 2n, and -r the least base, so the
+    sum never leaves that type.
     """
 
     def __init__(self, spec: SearchSpec, skeleton: ArcSkeleton) -> None:
@@ -500,14 +518,17 @@ class _SkeletonSearch:
             (_np.int8, _np.int16, _np.int32, _np.int64), 2 * self.cap + 1
         )
         self.dist = _skeleton_distances(skeleton.parts, self.cap, dist_dtype)
+        # 1 and the cap as scalars of that dtype: an int operand costs a
+        # conversion on every call
+        self._one, self._far = dist_dtype(1), dist_dtype(self.cap)
         self._undo: list[tuple] = []
         # the degree state of the class docstring, kept by the batches
         r = spec.r
         self.deg = [0] * n
-        self.deficient = _np.ones(n, dtype=bool)
         self.base = _np.full(n, -r, dtype=_smallest_dtype(
             (_np.int8, _np.int16, _np.int32, _np.int64), max(2 * n, r)
         ))
+        self.deficient = _np.ones(n, dtype=self.base.dtype)
         self.n_deficient = n
         self.exhausted = False
         self.policy = spec.effective_policy()
@@ -534,26 +555,31 @@ class _SkeletonSearch:
 
     # -- state mutation
 
-    def _add_batch(self, v: int, partners: tuple[int, ...]) -> None:
-        """Add the edges {v, u} for every partner u, completing v.  Raises
-        ValueError, with nothing changed, unless the batch is non-empty
-        and brings v to degree r exactly."""
+    def _add_batch(self, v: int, partners: tuple[int, ...],
+                   dist: _np.ndarray | None = None) -> None:
+        """Add the edges {v, u} for every partner u, completing v, and
+        keep the degree state.  ``dist`` gives the distances with the
+        batch added when they are already known (_stacked_distances).
+        Raises ValueError, with nothing changed, unless the batch is
+        non-empty and brings v to degree r exactly."""
         r, deg = self.spec.r, self.deg
         if not partners or deg[v] + len(partners) != r:
             raise ValueError(f"batch {partners} does not complete vertex "
                              f"{v} of degree {deg[v]} to {r}")
         d = self.dist
-        # per-partner slices: fancy indexing costs more at this size
-        to_u, from_u = d[:, partners[0]], d[partners[0]]
-        for u in partners[1:]:
-            to_u = _np.minimum(to_u, d[:, u])
-            from_u = _np.minimum(from_u, d[u])
-        to_v, from_v = to_u + 1, from_u + 1
-        _np.minimum(to_v, d[:, v], out=to_v)
-        _np.minimum(from_v, d[v], out=from_v)
-        via = to_v[:, None] + from_v
+        if dist is None:
+            # per-partner slices: fancy indexing costs more at this size
+            to_u, from_u = d[:, partners[0]], d[partners[0]]
+            for u in partners[1:]:
+                to_u = _np.minimum(to_u, d[:, u])
+                from_u = _np.minimum(from_u, d[u])
+            to_v, from_v = to_u + self._one, from_u + self._one
+            _np.minimum(to_v, d[:, v], out=to_v)
+            _np.minimum(from_v, d[v], out=from_v)
+            via = to_v[:, None] + from_v
+            dist = _np.minimum(d, via, out=via)
         self._undo.append((d, v, partners))
-        self.dist = _np.minimum(d, via, out=via)
+        self.dist = dist
         base, mask = self.base, self.deficient
         deg[v], base[v], mask[v] = r, self.n, False
         self.n_deficient -= 1
@@ -589,21 +615,21 @@ class _SkeletonSearch:
 
     def _free_slack(self) -> tuple[_np.ndarray, _np.ndarray]:
         """The free pairs {x, y}, those an edge could still join (no
-        path of length <= g-2 either way), and every vertex's slack.
-        From g = 3 on that distance already excludes x == y and adjacent
-        pairs; below it they are cleared here.  A deficient vertex's
-        slack is the number of free deficient partners minus its
-        remaining demand, at most n - 2; the base adds n for a complete
-        vertex instead, so it reads at least n."""
-        far = self.dist >= self.cap
-        free = far & far.T
+        path of length <= g-2 either way), as a 0/1 int8 matrix, and
+        every vertex's slack.  From g = 3 on that distance already
+        excludes x == y and adjacent pairs; below it they are cleared
+        here.  A deficient vertex's slack is the number of free deficient
+        partners minus its remaining demand, at most n - 2; the base adds
+        n for a complete vertex instead, so it reads at least n."""
+        far = self.dist >= self._far
+        free = (far & far.T).view(_np.int8)
         if self.cap < 2:
-            _np.fill_diagonal(free, False)
+            _np.fill_diagonal(free, 0)
             if self._undo:
                 a, b = _np.array(self.edges).T
-                free[a, b] = free[b, a] = False
+                free[a, b] = free[b, a] = 0
         # the product and the sum stay in the base dtype, which holds 2n
-        slack = free.view(_np.int8) @ self.deficient.astype(self.base.dtype)
+        slack = free @ self.deficient
         slack += self.base
         return free, slack
 
@@ -652,19 +678,27 @@ class _SkeletonSearch:
 
         Returns ("pushed" | "infeasible" | "complete", girth-pruned
         combination count).  "complete" is read off the deficient count
-        before any free pair is derived.  "infeasible": some deficient
-        vertex has fewer free deficient partners than it still needs, a
-        negative slack (_free_slack).  "focus" completes the first vertex
-        of least slack, one argmin over all n vertices, since a complete
-        one reads at least n; "lex" the least-index deficient vertex.
+        before any free pair is derived; otherwise _branch decides from
+        the free pairs and slack of _free_slack.
         """
         if not self.n_deficient:
             return "complete", 0
         free, slack = self._free_slack()
         least = slack.argmin()
-        if slack[least] < 0:
+        return self._branch(free, int(least), slack[least])
+
+    def _branch(self, free: _np.ndarray, least: int,
+                low: int) -> tuple[str, int]:
+        """Push the frame of a state that is not complete, given its free
+        pairs, its first vertex of least slack and that slack
+        (_free_slack), or report it "infeasible": some deficient vertex
+        has fewer free deficient partners than it still needs, a
+        negative slack.  "focus" completes that vertex, the first of
+        least slack over all n vertices, since a complete one reads at
+        least n; "lex" the least-index deficient vertex."""
+        if low < 0:
             return "infeasible", 0
-        v = int(self.deficient.argmax() if self.policy == "lex" else least)
+        v = int(self.deficient.argmax()) if self.policy == "lex" else least
         combos, pruned = self._combos_for(v, free)
         self.stack.append(_Frame(v, combos))
         return "pushed", pruned
@@ -674,72 +708,54 @@ class _SkeletonSearch:
     ) -> tuple[str, int] | None:
         """Complete the frame's vertex with ``combo`` and expand the
         child (see _expand).  None, with the batch undone, when the
-        grown edge list is not least in its orbit under the skeleton
-        group (lex policy, group within CANONICITY_CAP)."""
+        child fails the orderly test (_canonical)."""
         self._add_batch(frame.vertex, combo)
-        if self.orderly:
-            n, edges = self.n, self.edges
-            least = _least_image(self.group(), edges)
-            if least.tolist() != [a * n + b for a, b in edges]:
-                self._pop_batch()
-                return None
+        if self.orderly and not self._canonical():
+            return None
         return self._expand()
+
+    def _canonical(self) -> bool:
+        """The orderly test of an orderly search (lex policy, group
+        within CANONICITY_CAP): False, with the last batch undone, when
+        the grown edge list is not least in its orbit under the skeleton
+        group."""
+        n, edges = self.n, self.edges
+        if _least_image(self.group(), edges).tolist() != [
+                a * n + b for a, b in edges]:
+            self._pop_batch()
+            return False
+        return True
 
     def visit(self, quota: float,
               deadline: float | None) -> tuple[_SkeletonSearch, str, int]:
         """Advance an unexhausted skeleton until the node quota or
         deadline is consumed, a decide search admits a witness, or the
-        skeleton is exhausted, counting into ``stats``; each complete
-        state goes to _admit.  Returns (this search, "found" | "paused" |
-        "exhausted", nodes consumed this visit), so a process pool can
-        run it on a copy and send the copy back.
+        skeleton is exhausted: a round of this search alone (_round).
+        Returns (this search, "found" | "paused" | "exhausted", nodes
+        consumed this visit), so a process pool can run it on a copy and
+        send the copy back."""
+        return _round([self], [quota], deadline)[0]
 
-        The first visit expands the root, the bare skeleton, which costs
-        no node.  It is never complete, since every vertex lacks all r
-        edges; when it is infeasible nothing is pushed and the skeleton
-        is exhausted at once.  So a skeleton that is not exhausted has
-        started exactly when its stack is non-empty, and a visit that
-        finds the stack empty is the first.  Every other frame was
-        entered by applying a batch, so popping a frame undoes a batch
-        exactly when a frame stays below it."""
-        stats, used = self.stats, 0
-        if not self.stack:
-            state, pruned = self._expand()
-            stats.girth_prunes += pruned
-            if state == "infeasible":
-                stats.infeasible_prunes += 1
-        while self.stack:
-            if used >= quota:
-                return self, "paused", used
-            if deadline is not None and time.monotonic() > deadline:
-                return self, "paused", used
-            frame = self.stack[-1]
-            if frame.next_idx >= len(frame.combos):
-                self.stack.pop()
-                if self.stack:
-                    self._pop_batch()
-                continue
-            combo = frame.combos[frame.next_idx]
-            frame.next_idx += 1
-            used += 1
-            stats.nodes += 1
-            res = self._descend(frame, combo)
-            if res is None:
-                stats.canonicity_prunes += 1
-                continue
-            state, pruned = res
-            stats.girth_prunes += pruned
-            if state == "infeasible":
-                stats.infeasible_prunes += 1
-                self._pop_batch()
-            elif state == "complete":
-                found = self._admit(self.edges) and self.spec.mode == "decide"
-                self._pop_batch()
-                if found:
-                    return self, "found", used
-        self.exhausted = True
-        self.keys = set()
-        return self, "exhausted", used
+    def fork(self) -> _SkeletonSearch:
+        """A copy that a visit can advance while this search stays as it
+        is.  It shares what no visit changes in place: the distance
+        matrices, which a batch replaces, the combination lists and the
+        group.  The attributes are set one by one, in the order of
+        __init__: an instance whose __dict__ is filled in one piece, as
+        copy.copy does, reads its attributes more slowly."""
+        twin = object.__new__(type(self))
+        for name, value in vars(self).items():
+            setattr(twin, name, value)
+        twin.deg = self.deg.copy()
+        twin.deficient = self.deficient.copy()
+        twin.base = self.base.copy()
+        twin._undo = self._undo.copy()
+        twin.stack = [_Frame(f.vertex, f.combos, f.next_idx)
+                      for f in self.stack]
+        twin.keys = self.keys.copy()
+        twin.stats = SearchStats(**self.stats.as_dict())
+        twin.witnesses = self.witnesses.copy()
+        return twin
 
     def _admit(self, edges: list[Pair],
                graph: MixedGraph | None = None) -> bool:
@@ -884,6 +900,161 @@ class _SkeletonSearch:
 
 
 # ---------------------------------------------------------------------------
+# rounds: several searches advanced in lockstep
+
+
+def _round(searches: list[_SkeletonSearch], quotas: list[float],
+           deadline: float | None) -> list[tuple | None]:
+    """Visit each search with its node quota, all in lockstep: the one
+    depth-first loop.  Returns, per search, what its visit returns: (the
+    search, "found" | "paused" | "exhausted", nodes consumed).
+
+    A search's first visit expands its root, the bare skeleton, which
+    costs no node.  It is never complete, since every vertex lacks all
+    r edges; when it is infeasible nothing is pushed and the skeleton is
+    exhausted at once.  So a skeleton that is not exhausted has started
+    exactly when its stack is non-empty.  Every other frame was entered
+    by applying a batch, so popping a frame undoes a batch exactly when a
+    frame stays below it.
+
+    Each step, every live search pops its exhausted frames and takes its
+    next combination, unless its quota is spent or its stack runs out;
+    then all that took one descend together (_descend_together), or
+    alone through _descend when only one did or g < 3.  Each child is
+    counted and handled by its own search: an infeasible one is undone,
+    a complete one goes to _admit.  When a decide search admits a
+    witness, the searches after it leave the round at once, with no
+    result: their state is past what a visit in order would have done,
+    so the caller must run a round of several searches on copies and
+    drop them.  A passed deadline pauses every live search."""
+    out: list[tuple | None] = [None] * len(searches)
+    used = [0] * len(searches)
+    live = []
+    for i, s in enumerate(searches):
+        if not s.stack:
+            state, pruned = s._expand()
+            s.stats.girth_prunes += pruned
+            if state == "infeasible":
+                s.stats.infeasible_prunes += 1
+        live.append(i)
+    together = searches[0].cap >= 2
+    while live:
+        expired = deadline is not None and time.monotonic() > deadline
+        steps = []
+        for i in live:
+            s = searches[i]
+            stack = s.stack
+            while stack:
+                if used[i] >= quotas[i] or expired:
+                    out[i] = (s, "paused", used[i])
+                    break
+                frame = stack[-1]
+                if frame.next_idx < len(frame.combos):
+                    steps.append((i, s, frame, frame.combos[frame.next_idx]))
+                    frame.next_idx += 1
+                    used[i] += 1
+                    break
+                stack.pop()
+                if stack:
+                    s._pop_batch()
+            else:
+                s.exhausted = True
+                s.keys = set()
+                out[i] = (s, "exhausted", used[i])
+        results = (_descend_together(steps)
+                   if together and len(steps) > 1 else None)
+        live = []
+        for j, (i, s, frame, combo) in enumerate(steps):
+            res = s._descend(frame, combo) if results is None else results[j]
+            stats = s.stats
+            stats.nodes += 1
+            if res is None:
+                stats.canonicity_prunes += 1
+            else:
+                state, pruned = res
+                stats.girth_prunes += pruned
+                if state == "infeasible":
+                    stats.infeasible_prunes += 1
+                    s._pop_batch()
+                elif state == "complete":
+                    found = s._admit(s.edges) and s.spec.mode == "decide"
+                    s._pop_batch()
+                    if found:
+                        out[i] = (s, "found", used[i])
+                        break
+            live.append(i)
+    return out
+
+
+def _descend_together(steps: list[tuple]) -> list[tuple[str, int] | None]:
+    """_descend for each (index, search, frame, combination) of ``steps``, two
+    or more searches of one spec with g >= 3, from one stacked distance
+    update (_stacked_distances) and one stacked pass for the free pairs
+    and slack (_stacked_free_slack) instead of one of each per search.
+    In between, each search takes its child's distances as a copy of its
+    row, so no search holds the stacked array, completes its vertex
+    (_add_batch) and takes the orderly test; the complete children skip
+    the free pairs, as in _expand."""
+    searches = [s for _, s, _, _ in steps]
+    r = searches[0].spec.r
+    ends: list[int] = []
+    for _, _, frame, combo in steps:
+        # repeating a partner leaves each minimum as it is
+        ends += (frame.vertex,) + combo + combo[:1] * (r - len(combo))
+    new = _stacked_distances(
+        _np.array([s.dist for s in searches]),
+        _np.array(ends, dtype=_np.intp).reshape(len(steps), r + 1))
+    results: list[tuple[str, int] | None] = []
+    branching = []
+    for i, (_, s, frame, combo) in enumerate(steps):
+        s._add_batch(frame.vertex, combo, new[i].copy())
+        undone = s.orderly and not s._canonical()
+        branching.append(not undone and s.n_deficient > 0)
+        results.append(None if undone or branching[-1] else ("complete", 0))
+    if any(branching):
+        # the rows of complete or undone children are computed unread
+        free, slack = _stacked_free_slack(
+            new, _np.array([s.deficient for s in searches]),
+            _np.array([s.base for s in searches]), searches[0]._far)
+        for i, (s, v, low) in enumerate(zip(
+                searches, slack.argmin(axis=1).tolist(),
+                slack.min(axis=1).tolist())):
+            if branching[i]:
+                results[i] = s._branch(free[i], v, low)
+    return results
+
+
+def _stacked_distances(dists: _np.ndarray, ends: _np.ndarray) -> _np.ndarray:
+    """The distances of _add_batch for a stack of k searches at once:
+    ``dists`` is (k, n, n), and row i of ``ends`` holds search i's vertex
+    v followed by its partners.  The new distances into v are the least
+    of ``dist[a, v]`` and ``dist[a, u] + 1`` over the partners u, those
+    out of v likewise, and every other distance is the least of its old
+    value and one outer sum."""
+    at = _np.arange(len(dists))[:, None]
+    # one step to v from v itself, two from each partner
+    steps = _np.array([(0,)] + [(1,)] * (ends.shape[1] - 1), dtype=_np.int8)
+    to_v = (dists[at, :, ends] + steps).min(axis=1)
+    from_v = (dists[at, ends] + steps).min(axis=1)
+    via = to_v[:, :, None] + from_v[:, None, :]
+    return _np.minimum(dists, via, out=via)
+
+
+def _stacked_free_slack(
+    dists: _np.ndarray, deficient: _np.ndarray, base: _np.ndarray, cap
+) -> tuple[_np.ndarray, _np.ndarray]:
+    """_free_slack for a stack of searches with g >= 3: the (k, n, n)
+    free pairs and the (k, n) slack of the k distance matrices, deficient
+    masks and slack bases, for the cap g-1 as a scalar of the distances'
+    dtype."""
+    far = dists >= cap
+    free = (far & far.transpose(0, 2, 1)).view(_np.int8)
+    slack = _np.matmul(free, deficient[:, :, None])[:, :, 0]
+    slack += base
+    return free, slack
+
+
+# ---------------------------------------------------------------------------
 # engine
 
 
@@ -903,13 +1074,20 @@ def search_order(
     unbounded in enumerate mode).  The schedule is read off the
     searches, so a resumed run visits them in the same cyclic order as
     an uninterrupted one, and an interrupted visit is finished first.
-    With ``workers`` > 1 a process pool runs each round's visits, and
-    the results are consumed in visit order under the same rules, so
-    status, witnesses, statistics and checkpoint do not depend on
-    ``workers``.  A pool visit granted more nodes than the budget left
-    it by the visits before it is rerun in process with the exact quota
-    when it used them.  The outcome sums the searches' statistics and
-    concatenates their witnesses in skeleton order.
+    In process, a round without a node budget runs in lockstep on
+    copies of the searches (_round): a step descends the children of all
+    live searches at once, or one child alone by the plain path.  With
+    ``workers`` > 1 a process pool runs each round's visits.  Either way
+    the results are consumed in visit order under the same rules, so a
+    copy after the first visit that finds a witness or is cut short by
+    the deadline is dropped, and status, witnesses, statistics and
+    checkpoint do not depend on ``workers``.  A pool visit granted more
+    nodes than the budget left it by the visits before it is rerun in
+    process with the exact quota when it used them.  A node-budgeted run
+    in process, and a "lex" one, visits one search at a time, granting
+    each its quota when the visit before it is merged, so a budget never
+    pays for dropped nodes.  The outcome sums the searches' statistics
+    and concatenates their witnesses in skeleton order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -968,14 +1146,13 @@ def search_order(
 
             def grants():
                 # builtin map pulls each grant after the previous visit
-                # is merged; a pool takes the whole round up front
+                # is merged; a pool or a lockstep round takes the whole
+                # round up front
                 for quota in quotas:
                     granted.append(min(quota, budget_left()))
                     yield granted[-1]
 
-            results = mapper(_SkeletonSearch.visit,
-                             [searches[i] for i in order], grants(),
-                             [deadline] * len(order))
+            results = mapper([searches[i] for i in order], grants())
             for k, (idx, quota) in enumerate(zip(order, quotas)):
                 # read before next(): an in-process visit counts into
                 # the search itself
@@ -993,13 +1170,21 @@ def search_order(
                     # stopped by the global budget or the deadline
                     return outcome("budget_exceeded")
 
+    def visits(mapper):
+        return lambda batch, quotas: mapper(
+            _SkeletonSearch.visit, batch, quotas, [deadline] * len(batch))
+
+    if workers == 1 and (spec.node_budget is not None
+                         or spec.effective_policy() == "lex"):
+        return drive(visits(map))
     if workers == 1:
-        return drive(map)
+        return drive(lambda batch, quotas: iter(
+            _round([s.fork() for s in batch], list(quotas), deadline)))
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return drive(pool.map)
+        return drive(visits(pool.map))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

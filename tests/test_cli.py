@@ -7,8 +7,11 @@ import re
 import pytest
 
 import mixedcages.bounds as bounds_module
+import mixedcages.cli as cli_module
 import mixedcages.search as search_module
-from mixedcages import SearchSpec, canonical_form, new_graph, search_order
+from mixedcages import (
+    SearchSpec, canonical_form, moore_bound, new_graph, search_order,
+)
 from mixedcages.cli import _read_graph, run
 from mixedcages.matrixio import NonSquareError
 
@@ -504,6 +507,24 @@ def test_bound_overflow_is_usage_error(monkeypatch, command):
     code, out, err = cli(command + ["--r", "3", "--g", "20"])
     assert code == 2
     assert err.startswith("usage error:") and out == ""
+
+
+def test_bounds_refuse_before_building_a_row(monkeypatch):
+    """The deepest row is checked first, so a bound far past the size
+    limit is a usage error at once: no row of the table is computed
+    before the refusal."""
+    rows = []
+
+    def counting(r, d):
+        value = moore_bound(r, d)
+        rows.append(d)
+        return value
+
+    monkeypatch.setattr(cli_module, "moore_bound", counting)
+    code, out, err = cli(["bounds", "--r", str(10 ** 4000), "--g", "600"])
+    assert code == 2
+    assert err.startswith("usage error:") and out == ""
+    assert rows == []
 
 
 def _corrupted_checkpoint(tmp_path, corrupt):

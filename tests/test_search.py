@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import types
 from math import comb
 from pathlib import Path
 
@@ -777,6 +778,119 @@ def test_decide_order_30_tree_is_pinned():
                                     infeasible_prunes=11916)
     verdict, _ = is_isomorphic(out.witnesses[0], build_g30())
     assert verdict
+
+
+@pytest.mark.parametrize("budget", [200, 500])
+def test_deadline_cut_mid_round_leaves_no_speculative_trace(monkeypatch,
+                                                            budget):
+    """A deadline that passes inside the first round of the order-30
+    decide search pauses every search of that lockstep round.  The first
+    in visit order, cut short, ends the run; the searches after it stay
+    as they were, although they ran in step with it (and at 500 nodes
+    skeleton (10,10,10) has already admitted the cage).  So the
+    checkpoint holds the first skeleton's nodes alone, and resuming it
+    gives the pinned statistics.  The clock reads one second more at each
+    look, and the round looks once per step."""
+    reads = itertools.count()
+    monkeypatch.setattr(search_module, "time", types.SimpleNamespace(
+        monotonic=lambda: float(next(reads))))
+    spec = SearchSpec(r=3, g=6, n=30)
+    cut = search_order(dataclasses.replace(spec, time_budget=budget))
+    assert cut.status == "budget_exceeded" and not cut.witnesses
+    assert cut.stats.nodes == budget
+    states = json.loads(json.dumps(cut.checkpoint))["skeletons"]
+    assert [(s["started"], s["exhausted"], s["stats"]["nodes"])
+            for s in states] == [(True, False, budget)] + [
+                (False, False, 0)] * (len(states) - 1)
+    resumed = search_order(spec, checkpoint=json.loads(json.dumps(
+        cut.checkpoint)))
+    assert resumed.status == "found"
+    assert resumed.stats == SearchStats(nodes=31289, girth_prunes=52983,
+                                        canonicity_prunes=0,
+                                        infeasible_prunes=11916)
+
+
+def _take_step(search):
+    """Pop the exhausted frames of a search, as a round does, and take
+    its next combination: (frame, combination), or None when the
+    skeleton is exhausted."""
+    while search.stack:
+        frame = search.stack[-1]
+        if frame.next_idx < len(frame.combos):
+            frame.next_idx += 1
+            return frame, frame.combos[frame.next_idx - 1]
+        search.stack.pop()
+        if search.stack:
+            search._pop_batch()
+    return None
+
+
+def _degree_state(search):
+    return (search.deg, search.deficient.tolist(), search.base.tolist(),
+            search.n_deficient)
+
+
+@pytest.mark.parametrize("kwargs,parts,steps", [
+    (dict(r=3, g=5, n=20), [(15, 5), (12, 8)], 925),
+    (dict(r=3, g=4, n=12, mode="enumerate", branch_policy="focus"),
+     [(8, 4), (6, 6)], 1179),
+    (dict(r=3, g=4, n=12, mode="enumerate", branch_policy="lex"),
+     [(12,), (8, 4)], 381),
+], ids=["3-5-20-decide", "3-4-12-focus", "3-4-12-lex"])
+def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
+                                                steps):
+    """Two searches on different skeletons, walked node by node along
+    their real trees until the smaller one is exhausted, take every step
+    together (_descend_together), and copies of them take it alone
+    (_descend).  Each gets the result, distances, degree state and
+    frames it gets alone, and the stacked free pairs and slack of each
+    child that branches equal its own _free_slack; under "lex" a child
+    that fails the orderly test is undone, as alone.  Every tenth step
+    is also recounted from scratch."""
+    spec = SearchSpec(**kwargs)
+    runs = [_SkeletonSearch(spec, sk) for sk in arc_skeletons(spec.n, spec.g)
+            if sk.parts in parts]
+    for run in runs:
+        run.visit(0, None)  # expand the root
+    stacked = []
+    real = search_module._stacked_free_slack
+
+    def recording(*args):
+        stacked.append(real(*args))
+        return stacked[-1]
+
+    monkeypatch.setattr(search_module, "_stacked_free_slack", recording)
+    for step in range(steps):
+        together = [run.fork() for run in runs]
+        alone = [run.fork() for run in runs]
+        taken = [_take_step(s) for s in together]
+        assert all(taken)
+        assert [(f.vertex, c) for f, c in taken] == [
+            (f.vertex, c) for f, c in map(_take_step, alone)]
+        got = search_module._descend_together(
+            [(i, s, frame, combo)
+             for i, (s, (frame, combo)) in enumerate(zip(together, taken))])
+        for i, (s, t, (frame, combo)) in enumerate(zip(together, alone,
+                                                       taken)):
+            assert got[i] == t._descend(frame, combo)
+            assert (s.dist == t.dist).all()
+            assert _degree_state(s) == _degree_state(t)
+            assert s.edges == t.edges
+            assert [(f.vertex, f.combos) for f in s.stack] == [
+                (f.vertex, f.combos) for f in t.stack]
+            if got[i] is not None and got[i][0] != "complete":
+                free, slack = t._free_slack()
+                assert (stacked[-1][0][i] == free).all()
+                assert (stacked[-1][1][i] == slack).all()
+            if step % 10 == 0:
+                _check_against_recount(
+                    s, _arc_matrix(s.skeleton),
+                    [(v, ps) for _, v, ps in s._undo], combos=False)
+        for run in runs:
+            run.visit(1, None)
+    assert len(stacked) > steps // 2
+    assert sorted(run.visit(1, None)[1] for run in runs) == [
+        "exhausted", "paused"]
 
 
 def _arc_matrix(skeleton):
