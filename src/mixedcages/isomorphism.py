@@ -29,13 +29,18 @@ back to the level where its path left the first path (McKay,
 order is the product, over the first path's levels, of that vertex's
 orbit size in its cell under the discovered automorphisms that fix the
 level's prefix; the ones that join two orbits at some level are the
-generators.  Plain closure enumeration serves small groups and tests
-as an independent check.
+generators.  An isomorphism test labels neither graph canonically: it
+takes the first leaf of h's search and searches g's tree for a leaf
+with that encoding, stopping at the first one (McKay 1981), so g's
+search is exhausted only when the two are not isomorphic.  Plain
+closure enumeration serves small groups and tests as an independent
+check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphs import MixedGraph, Permutation, apply_permutation, degree_profile
 
@@ -97,7 +102,20 @@ def canonical_form(g: MixedGraph) -> CanonicalForm:
 def is_isomorphic(
     g: MixedGraph, h: MixedGraph
 ) -> tuple[bool, Permutation | None]:
-    """Isomorphism test with witness mapping g onto h."""
+    """Isomorphism test with witness mapping g onto h.
+
+    h's labeling search stops at its first leaf, and g's at the first
+    leaf with that leaf's encoding: g and h are isomorphic exactly when
+    g's search finds one.  A found leaf's labeling, followed by the
+    inverse of h's, maps g onto h: that is the witness.  Conversely, the
+    tree is labeling-invariant, so for any isomorphism phi from g onto
+    h, phi's preimage of h's first path is a path of g's tree, and it
+    ends in a leaf with h's encoding.  Orbit pruning and the jump back
+    skip only subtrees that are automorphism images of subtrees already
+    explored; an automorphism keeps leaf encodings, and the explored
+    subtrees held no target leaf, or the search would have stopped
+    there.  So g's search finds a target leaf whenever one exists.
+    """
     if g.n != h.n or len(g.edges) != len(h.edges) or len(g.arcs) != len(h.arcs):
         return False, None
     pg, ph = degree_profile(g), degree_profile(h)
@@ -105,12 +123,11 @@ def is_isomorphic(
         zip(ph.deg, ph.outdeg, ph.indeg)
     ):
         return False, None
-    cg = canonical_form(g)
-    ch = canonical_form(h)
-    if cg.encoding != ch.encoding:
+    enc, first, _, _ = _ir_search(h, until=lambda e: True)
+    found = _ir_search(g, until=enc.__eq__)
+    if found is None:
         return False, None
-    witness = ch.permutation.inverse() @ cg.permutation
-    return True, witness
+    return True, first.inverse() @ found[1]
 
 
 def automorphism_group(g: MixedGraph) -> AutGroup:
@@ -304,11 +321,18 @@ class _PrefixOrbits:
 
 
 def _ir_search(
-    g: MixedGraph,
-) -> tuple[bytes, Permutation, list[_Perm], list[tuple[_Perm, list[int]]]]:
+    g: MixedGraph, until: Callable[[bytes], bool] | None = None
+) -> (
+    tuple[bytes, Permutation, list[_Perm], list[tuple[_Perm, list[int]]]]
+    | None
+):
     """Backtracking search; returns the canonical encoding, one canonical
     labeling, all automorphisms discovered from equal-encoding leaves,
     and the (prefix, target cell) pair of each level of the first path.
+
+    With ``until``, the first leaf whose encoding satisfies it takes the
+    place of the canonical one and ends the search; when no leaf does,
+    the result is None.
 
     Branch pruning: two candidate vertices of a target cell lead to
     interchangeable subtrees whenever a known automorphism that fixes
@@ -325,43 +349,50 @@ def _ir_search(
     depth k + 1, so it holds no new encoding.
     """
     n = g.n
-    best: list[tuple[bytes, Permutation]] = []  # the least leaf so far
+    # the least leaf so far, or with until the leaf that met it
+    best: list[tuple[bytes, Permutation]] = []
     seen: dict[bytes, tuple[int, ...]] = {}
     autos: list[_Perm] = []
     path: list[tuple[_Perm, list[int]]] = []
 
-    def leaf(cells: list[list[int]]) -> bool:
-        """Record the leaf; True if it gave an automorphism onto the first."""
+    def leaf(cells: list[list[int]], prefix: tuple[int, ...]) -> int:
+        """Record the leaf; return the depth to resume at (-1 to stop)."""
         pos = [0] * n
         for i, (v,) in enumerate(cells):
             pos[v] = i
         enc = _encode(g, pos)
         perm = tuple(pos)
-        if not best or enc < best[0][0]:
+        if until is None:
+            if not best or enc < best[0][0]:
+                best[:] = [(enc, Permutation(perm))]
+        elif until(enc):
             best[:] = [(enc, Permutation(perm))]
+            return -1
+        depth = len(prefix)
         if enc not in seen:
             seen[enc] = perm
-            return False
+            return depth
         # equal encodings: inv(seen[enc]) . perm fixes g; record it
         phi = _compose(_invert(seen[enc]), perm)
         if apply_permutation(g, Permutation(phi)) != g:
-            return False
+            return depth
         autos.append(phi)
         # seen keeps insertion order: its first key is the first leaf's
-        return enc == next(iter(seen))
+        if enc != next(iter(seen)):
+            return depth
+        # the first level where this path left the first path
+        return next(k for k, v in enumerate(prefix) if v != path[k][1][0])
 
     def descend(cells: list[list[int]], prefix: tuple[int, ...]) -> int:
-        """Explore the node; return the depth to resume at (k on a jump)."""
-        depth = len(prefix)
+        """Explore the node; return the depth to resume at (k on a jump,
+        -1 once ``until`` is met)."""
         if len(cells) == n:
-            if not leaf(cells):
-                return depth
-            # the first level where this path left the first path
-            return next(k for k, v in enumerate(prefix) if v != path[k][1][0])
+            return leaf(cells, prefix)
+        depth = len(prefix)
         # the first smallest non-singleton cell in color order
         cell = min((c for c in cells if len(c) > 1), key=len)
         i = cells.index(cell)
-        if not best:
+        if not seen:
             path.append((prefix, cell))
         tried: list[int] = []
         autos_seen = -1
@@ -385,9 +416,11 @@ def _ir_search(
         return depth
 
     descend(_refine_cells(g, _degree_cells(g)), ())
-    if not best:
+    if best:
+        return (*best[0], autos, path)
+    if until is None:
         raise RuntimeError("canonical labeling search reached no leaf")
-    return (*best[0], autos, path)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def _skeleton_autos(parts: tuple[int, ...]) -> _np.ndarray:
         by_len.setdefault(length, []).append(idx)
     classes = [by_len[length] for length in sorted(by_len)]
     rots = _np.indices(parts).reshape(len(parts), -1)
-    dtype = _smallest_dtype((_np.int8, _np.int16, _np.int32, _np.int64), n - 1)
+    dtype = _smallest_dtype(n - 1)
     blocks = []
     for assignment in product(*[permutations(c) for c in classes]):
         img = _np.empty((rots.shape[1], n), dtype=dtype)
@@ -367,8 +367,9 @@ def _skeleton_autos(parts: tuple[int, ...]) -> _np.ndarray:
 
 
 def _code_dtype(n: int):
-    """The narrowest signed integers that hold the edge codes a*n+b."""
-    return _smallest_dtype((_np.int16, _np.int32, _np.int64), n * n)
+    """The narrowest signed integers, int16 or wider, that hold the
+    edge codes a*n+b."""
+    return _smallest_dtype(n * n, _SIGNED[1:])
 
 
 def _image_codes(autos: _np.ndarray, edges) -> _np.ndarray:
@@ -432,9 +433,15 @@ class _Frame:
         self.next_idx = next_idx
 
 
-def _smallest_dtype(types: tuple, bound: int):
-    """The first of ``types`` whose range reaches ``bound``."""
-    return next(t for t in types if _np.iinfo(t).max >= bound)
+# the signed integer types, narrowest first, each with its maximum
+_SIGNED = tuple((t, int(_np.iinfo(t).max))
+                for t in (_np.int8, _np.int16, _np.int32, _np.int64))
+
+
+def _smallest_dtype(bound: int, types: tuple = _SIGNED):
+    """The first of the (type, maximum) pairs ``types`` whose range
+    reaches ``bound``."""
+    return next(t for t, top in types if top >= bound)
 
 
 def _skeleton_distances(
@@ -514,9 +521,7 @@ class _SkeletonSearch:
         n = spec.n
         self.n = n
         self.cap = spec.g - 1
-        dist_dtype = _smallest_dtype(
-            (_np.int8, _np.int16, _np.int32, _np.int64), 2 * self.cap + 1
-        )
+        dist_dtype = _smallest_dtype(2 * self.cap + 1)
         self.dist = _skeleton_distances(skeleton.parts, self.cap, dist_dtype)
         # 1 and the cap as scalars of that dtype: an int operand costs a
         # conversion on every call
@@ -525,9 +530,7 @@ class _SkeletonSearch:
         # the degree state of the class docstring, kept by the batches
         r = spec.r
         self.deg = [0] * n
-        self.base = _np.full(n, -r, dtype=_smallest_dtype(
-            (_np.int8, _np.int16, _np.int32, _np.int64), max(2 * n, r)
-        ))
+        self.base = _np.full(n, -r, dtype=_smallest_dtype(max(2 * n, r)))
         self.deficient = _np.ones(n, dtype=self.base.dtype)
         self.n_deficient = n
         self.exhausted = False
@@ -740,12 +743,10 @@ class _SkeletonSearch:
         """A copy that a visit can advance while this search stays as it
         is.  It shares what no visit changes in place: the distance
         matrices, which a batch replaces, the combination lists and the
-        group.  The attributes are set one by one, in the order of
-        __init__: an instance whose __dict__ is filled in one piece, as
-        copy.copy does, reads its attributes more slowly."""
+        group.  The attributes are set as unpickling sets them
+        (__setstate__)."""
         twin = object.__new__(type(self))
-        for name, value in vars(self).items():
-            setattr(twin, name, value)
+        twin.__setstate__(vars(self))
         twin.deg = self.deg.copy()
         twin.deficient = self.deficient.copy()
         twin.base = self.base.copy()
@@ -756,6 +757,14 @@ class _SkeletonSearch:
         twin.stats = SearchStats(**self.stats.as_dict())
         twin.witnesses = self.witnesses.copy()
         return twin
+
+    def __setstate__(self, state: dict) -> None:
+        """Set the attributes one by one, in the order of __init__: an
+        instance whose __dict__ is filled in one piece, as unpickling
+        and copy.copy do without this method, reads its attributes more
+        slowly."""
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def _admit(self, edges: list[Pair],
                graph: MixedGraph | None = None) -> bool:

@@ -5,10 +5,11 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mixedcages import (
     Permutation,
+    SearchSpec,
     TooLargeError,
     apply_permutation,
     automorphism_group,
@@ -16,6 +17,7 @@ from mixedcages import (
     group_fingerprint,
     is_isomorphic,
     new_graph,
+    search_order,
 )
 from mixedcages import isomorphism
 from mixedcages.constructions import (
@@ -120,6 +122,106 @@ def test_g30_isomorphic_to_its_converse(g30):
     verdict, witness = is_isomorphic(g30, converse)
     assert verdict
     assert apply_permutation(g30, witness) == converse
+
+
+@st.composite
+def cycle_and_matchings(draw, max_n: int = 12):
+    """A directed Hamilton cycle plus the edges of one or two perfect
+    matchings: (nearly) regular mixed graphs, whose refinement often
+    stops at cells that are not orbits, so that a labeling search's
+    first leaf need not carry its least encoding."""
+    n = 2 * draw(st.integers(2, max_n // 2))
+    edges = set()
+    for _ in range(draw(st.integers(1, 2))):
+        p = draw(st.permutations(range(n)))
+        edges.update(tuple(sorted(p[i:i + 2])) for i in range(0, n, 2))
+    s = draw(st.permutations(range(n)))
+    return new_graph(n, edges, [(s[i - 1], s[i]) for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_isomorphic_agrees_with_canonical_encodings(data):
+    """The verdict is the equality of the canonical encodings, and a
+    positive verdict's witness maps g onto h.  Half the pairs relabel g;
+    the others draw h from g's strategy, and two cycle-and-matching
+    graphs of one order often share their degree sequence."""
+    graphs = data.draw(
+        st.sampled_from((mixed_graphs(), cycle_and_matchings())))
+    g = data.draw(graphs, label="g")
+    if data.draw(st.booleans(), label="relabel"):
+        p = data.draw(st.permutations(range(g.n)), label="permutation")
+        h = apply_permutation(g, Permutation(tuple(p)))
+    else:
+        h = data.draw(graphs, label="h")
+    verdict, witness = is_isomorphic(g, h)
+    same = canonical_form(g).encoding == canonical_form(h).encoding
+    assert verdict == same
+    if verdict:
+        assert apply_permutation(g, witness) == h
+    else:
+        assert witness is None
+
+
+@pytest.fixture(scope="module")
+def classes_3_1_4_at_12():
+    """The 29 pairwise non-isomorphic (3,1,4)-graphs of order 12."""
+    result = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate"))
+    assert len(result.witnesses) == 29
+    return result.witnesses
+
+
+def test_is_isomorphic_on_every_pair_of_classes(classes_3_1_4_at_12):
+    """Every ordered pair of the 29 classes, each in a seeded relabeling.
+    All share one degree sequence, so a negative verdict needs g's
+    labeling search to run to exhaustion without meeting h's leaf."""
+    rng = random.Random(26)
+
+    def relabeled(w):
+        p = list(range(w.n))
+        rng.shuffle(p)
+        return apply_permutation(w, Permutation(tuple(p)))
+
+    for i, a in enumerate(classes_3_1_4_at_12):
+        for j, b in enumerate(classes_3_1_4_at_12):
+            g, h = relabeled(a), relabeled(b)
+            verdict, witness = is_isomorphic(g, h)
+            assert verdict == (i == j), (i, j)
+            if verdict:
+                assert apply_permutation(g, witness) == h
+
+
+def test_is_isomorphic_stops_at_the_first_target_leaf(g30):
+    """h's search stops at its first leaf and g's at the first leaf with
+    that encoding: fewer refinements than labeling both canonically.  A
+    negative verdict costs g's whole search plus h's first path; the
+    negative here swaps two edges of g30, {0,5},{1,6} -> {0,6},{1,5},
+    which keeps every degree."""
+    rng = random.Random(30)
+    p = list(range(30))
+    rng.shuffle(p)
+    relabeled = apply_permutation(g30, Permutation(tuple(p)))
+    edges = (g30.edges - {(0, 5), (1, 6)}) | {(0, 6), (1, 5)}
+    switched = new_graph(30, edges, g30.arcs)
+    real = isomorphism._refine_cells
+    calls = []
+
+    def counted(g, cells):
+        calls.append(1)
+        return real(g, cells)
+
+    for h, expected in ((relabeled, True), (switched, False)):
+        with mock.patch.object(isomorphism, "_refine_cells", counted):
+            calls.clear()
+            verdict, witness = is_isomorphic(g30, h)
+            test_calls = len(calls)
+            calls.clear()
+            same = canonical_form(g30).encoding == canonical_form(h).encoding
+            labeling_calls = len(calls)
+        assert verdict == same == expected
+        if verdict:
+            assert apply_permutation(g30, witness) == h
+        assert test_calls < labeling_calls
 
 
 def test_aut_counts_match_brute_force():

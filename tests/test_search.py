@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import pickle
 import types
 from math import comb
 from pathlib import Path
@@ -31,7 +32,9 @@ from mixedcages import (
 import mixedcages.search as search_module
 from mixedcages.search import (
     _SkeletonSearch,
+    _code_dtype,
     _edge_key,
+    _image_codes,
     _least_image,
     _orbit_keys,
     _skeleton_autos,
@@ -166,6 +169,19 @@ def test_least_image_of_no_edges():
     array = _skeleton_autos((4, 4, 4))
     assert _least_image(array, []).tolist() == []
     assert set(_orbit_keys(array, [])) == {_edge_key([], 12)} == {b""}
+
+
+@pytest.mark.parametrize("n, dtype", [(181, np.int16), (182, np.int32)])
+def test_edge_codes_widen_past_the_int16_maximum(n, dtype):
+    """The codes a*n+b stay below n*n, which first exceeds the int16
+    maximum 32767 at n = 182 (181**2 = 32761)."""
+    assert _code_dtype(n) is dtype
+    edges = [(0, 1), (n - 2, n - 1)]
+    codes = [1, (n - 2) * n + n - 1]
+    identity = np.arange(n, dtype=np.int16)[None, :]
+    image = _image_codes(identity, edges)
+    assert image.dtype == dtype and image.tolist() == [codes]
+    assert np.frombuffer(_edge_key(edges, n), dtype=dtype).tolist() == codes
 
 
 def naive_enumerate(n, r, g):
@@ -1365,3 +1381,25 @@ def test_uniqueness_of_order_30_graph(workers):
     assert out.stats.nodes == 857_912
     verdict, _ = is_isomorphic(out.witnesses[0], build_g30())
     assert verdict
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(r=3, g=4, n=12, mode="enumerate", branch_policy="focus"),
+    dict(r=3, g=5, n=20, mode="decide", branch_policy="focus"),
+])
+def test_unpickled_search_visits_like_the_original(kwargs):
+    """A process pool sends each search to a worker pickled.  The copy
+    gets the original's attributes in their order (__setstate__ sets
+    them one by one) and visits on to the same statistics, edges and
+    to_state() record."""
+    spec = SearchSpec(**kwargs)
+    for skeleton in arc_skeletons(spec.n, spec.g):
+        run = _SkeletonSearch(spec, skeleton)
+        run.visit(40, None)
+        copy = pickle.loads(pickle.dumps(run))
+        assert list(vars(copy)) == list(vars(run))
+        for search in (run, copy):
+            search.visit(300, None)
+        assert copy.stats == run.stats
+        assert copy.edges == run.edges
+        assert copy.to_state() == run.to_state()
