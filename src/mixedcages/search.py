@@ -54,35 +54,30 @@ records passes alike.
 
 Each skeleton's search is also the one home of its state: its
 depth-first position, its class keys, its statistics and its verified
-witnesses, and its ``visit`` is the unit of work.  One driver serves
-every run: it visits the pending skeletons in rounds, each visit a node
-quota on one skeleton, whether they run in process or in a pool of
-worker processes, so results never depend on the number of workers.
-The schedule is read off the searches' node counts, and the outcome is
-their sum and the concatenation of their witnesses in skeleton order.
-Searches are resumable: the depth-first position is the list of
-combination indices per level, and combination lists are recomputed
-deterministically on replay, so a budget-interrupted run serializes to a
-small checkpoint, the list of skeleton states, and the resumed run
-reproduces identical statistics.  Each restored search admits its recorded witnesses again,
-which checks them and rebuilds its keys.
+witnesses.  Searches are resumable: the depth-first position is the
+list of combination indices per level, and combination lists are
+recomputed deterministically on replay, so a budget-interrupted run
+serializes to a small checkpoint, the list of skeleton states, and the
+resumed run reproduces identical statistics.  Each restored search
+admits its recorded witnesses again, which checks them and rebuilds its
+keys.
 
-There is one depth-first loop, ``_round``, and a visit is a round of
-one search.  In process, an unbudgeted run visits a round's searches
-in lockstep: each step every live search takes its next combination,
-and the children are descended together, with one stacked distance
-update and one stacked pass for the free pairs and the slack over all
-of them, since every small numpy call costs about the same whatever its
-size; each search then keeps its own degree state, frames and
-statistics.  A step with one descending search takes the plain path,
-which costs about half a stacked step of one.  The searches of a
-lockstep round are copies: those after a search that admits a witness,
-or after the first that a deadline cuts short, are dropped, so the
-outcome is that of visits in order.  A node-budgeted run visits one
-search at a time and grants each its quota when the visit before it is
-merged, so a budget never pays for nodes that are dropped, and so does
-a ``lex`` enumeration, whose orderly test on every child leaves a
-stacked step nothing to save.
+One driver serves every run.  It visits the pending skeletons in
+rounds, each visit a node quota on one skeleton read off the searches'
+node counts, and the outcome is their summed statistics and their
+witnesses in skeleton order.  Every round is one call of the one
+depth-first loop, ``_round``, which visits its searches in lockstep:
+each step every live search takes its next combination, and the
+children are descended together, with one stacked distance update and
+one stacked pass for the free pairs and the slack, since every small
+numpy call costs about the same whatever its size.  A step with one
+descending search takes the plain path, which costs about half a
+stacked step of one, and so does every step of a ``lex`` enumeration,
+whose orderly test on every child leaves a stacked step nothing to
+save.  A pool of W workers gives worker w the searches w, w + W, ... of
+a round.  Either way the searches run as copies that the driver merges
+in visit order under one grant rule (search_order), so results never
+depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -735,8 +730,7 @@ class _SkeletonSearch:
         deadline is consumed, a decide search admits a witness, or the
         skeleton is exhausted: a round of this search alone (_round).
         Returns (this search, "found" | "paused" | "exhausted", nodes
-        consumed this visit), so a process pool can run it on a copy and
-        send the copy back."""
+        consumed this visit)."""
         return _round([self], [quota], deadline)[0]
 
     def fork(self) -> _SkeletonSearch:
@@ -929,7 +923,9 @@ def _round(searches: list[_SkeletonSearch], quotas: list[float],
     Each step, every live search pops its exhausted frames and takes its
     next combination, unless its quota is spent or its stack runs out;
     then all that took one descend together (_descend_together), or
-    alone through _descend when only one did or g < 3.  Each child is
+    alone through _descend when only one did, g < 3 or the policy is
+    "lex", whose orderly test on every child leaves a stacked step
+    nothing to save.  Each child is
     counted and handled by its own search: an infeasible one is undone,
     a complete one goes to _admit.  When a decide search admits a
     witness, the searches after it leave the round at once, with no
@@ -946,7 +942,8 @@ def _round(searches: list[_SkeletonSearch], quotas: list[float],
             if state == "infeasible":
                 s.stats.infeasible_prunes += 1
         live.append(i)
-    together = searches[0].cap >= 2
+    together = bool(searches) and searches[0].cap >= 2 and (
+        searches[0].policy != "lex")
     while live:
         expired = deadline is not None and time.monotonic() > deadline
         steps = []
@@ -997,13 +994,13 @@ def _round(searches: list[_SkeletonSearch], quotas: list[float],
 
 def _descend_together(steps: list[tuple]) -> list[tuple[str, int] | None]:
     """_descend for each (index, search, frame, combination) of ``steps``, two
-    or more searches of one spec with g >= 3, from one stacked distance
-    update (_stacked_distances) and one stacked pass for the free pairs
-    and slack (_stacked_free_slack) instead of one of each per search.
-    In between, each search takes its child's distances as a copy of its
-    row, so no search holds the stacked array, completes its vertex
-    (_add_batch) and takes the orderly test; the complete children skip
-    the free pairs, as in _expand."""
+    or more searches of one spec with g >= 3 and no orderly test, from
+    one stacked distance update (_stacked_distances) and one stacked pass
+    for the free pairs and slack (_stacked_free_slack) instead of one of
+    each per search.  In between, each search takes its child's
+    distances as a copy of its row, so no search holds the stacked
+    array, and completes its vertex (_add_batch); the complete children
+    skip the free pairs, as in _expand."""
     searches = [s for _, s, _, _ in steps]
     r = searches[0].spec.r
     ends: list[int] = []
@@ -1017,11 +1014,10 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int] | None]:
     branching = []
     for i, (_, s, frame, combo) in enumerate(steps):
         s._add_batch(frame.vertex, combo, new[i].copy())
-        undone = s.orderly and not s._canonical()
-        branching.append(not undone and s.n_deficient > 0)
-        results.append(None if undone or branching[-1] else ("complete", 0))
+        branching.append(s.n_deficient > 0)
+        results.append(None if branching[-1] else ("complete", 0))
     if any(branching):
-        # the rows of complete or undone children are computed unread
+        # the rows of complete children are computed unread
         free, slack = _stacked_free_slack(
             new, _np.array([s.deficient for s in searches]),
             _np.array([s.base for s in searches]), searches[0]._far)
@@ -1083,20 +1079,21 @@ def search_order(
     unbounded in enumerate mode).  The schedule is read off the
     searches, so a resumed run visits them in the same cyclic order as
     an uninterrupted one, and an interrupted visit is finished first.
-    In process, a round without a node budget runs in lockstep on
-    copies of the searches (_round): a step descends the children of all
-    live searches at once, or one child alone by the plain path.  With
-    ``workers`` > 1 a process pool runs each round's visits.  Either way
-    the results are consumed in visit order under the same rules, so a
-    copy after the first visit that finds a witness or is cut short by
-    the deadline is dropped, and status, witnesses, statistics and
-    checkpoint do not depend on ``workers``.  A pool visit granted more
-    nodes than the budget left it by the visits before it is rerun in
-    process with the exact quota when it used them.  A node-budgeted run
-    in process, and a "lex" one, visits one search at a time, granting
-    each its quota when the visit before it is merged, so a budget never
-    pays for dropped nodes.  The outcome sums the searches' statistics
-    and concatenates their witnesses in skeleton order.
+    Each round is one lockstep round (_round) on copies of the searches:
+    a step descends the children of all live searches at once, or one
+    child alone by the plain path.  With ``workers`` > 1 a process pool
+    runs it in shares, worker w taking the searches w, w + workers, ...
+    of the round, and the results are interleaved back into visit order.
+    Each search is granted its quota capped by the budget left at the
+    round's start less the grants before it, so the grants never add up
+    to more than the budget, and a search granted nothing is not run.
+    The results are consumed in visit order under the same rules: a copy
+    after the first visit that finds a witness or is cut short by the
+    deadline is dropped, and a visit granted less than its quota in
+    order, because an earlier one stopped early, is visited on to it.  So
+    status, witnesses, statistics and checkpoint do not depend on
+    ``workers``.  The outcome sums the searches' statistics and
+    concatenates their witnesses in skeleton order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -1140,7 +1137,7 @@ def search_order(
             }
         return SearchOutcome(status, witnesses, stats, checkpoint)
 
-    def drive(mapper) -> SearchOutcome:
+    def drive(run) -> SearchOutcome:
         while True:
             order = sorted(
                 (i for i, s in enumerate(searches) if not s.exhausted),
@@ -1151,27 +1148,29 @@ def search_order(
                 return outcome("found" if found else "exhausted")
             quotas = [quantum - searches[i].stats.nodes % quantum
                       for i in order]
-            granted: list[float] = []
-
-            def grants():
-                # builtin map pulls each grant after the previous visit
-                # is merged; a pool or a lockstep round takes the whole
-                # round up front
-                for quota in quotas:
-                    granted.append(min(quota, budget_left()))
-                    yield granted[-1]
-
-            results = mapper([searches[i] for i in order], grants())
-            for k, (idx, quota) in enumerate(zip(order, quotas)):
-                # read before next(): an in-process visit counts into
-                # the search itself
+            # the one grant rule: each visit's quota, capped by what the
+            # budget left at the round's start leaves after the grants
+            # before it; the visits granted nothing come last
+            grants, left = [], budget_left()
+            for quota in quotas:
+                grants.append(min(quota, left))
+                if left < _INF:
+                    left -= grants[-1]
+            ran = sum(grant > 0 for grant in grants)
+            results = run([searches[i] for i in order[:ran]], grants[:ran]) + [
+                (searches[i], "paused", 0) for i in order[ran:]]
+            for idx, quota, grant, result in zip(order, quotas, grants,
+                                                 results):
                 exact = min(quota, budget_left())
                 if exact <= 0:
                     return outcome("budget_exceeded")
-                search, status, used = next(results)
-                if granted[k] > exact and used >= exact:
-                    search, status, used = searches[idx].visit(
-                        exact, deadline)
+                search, status, used = result
+                if status == "paused" and used == grant < exact:
+                    # an earlier visit stopped early, so this one may go
+                    # on to the quota a visit in order gets
+                    search, status, more = search.visit(exact - used,
+                                                        deadline)
+                    used += more
                 searches[idx] = search
                 if status == "found":
                     return outcome("found")
@@ -1179,21 +1178,22 @@ def search_order(
                     # stopped by the global budget or the deadline
                     return outcome("budget_exceeded")
 
-    def visits(mapper):
-        return lambda batch, quotas: mapper(
-            _SkeletonSearch.visit, batch, quotas, [deadline] * len(batch))
-
-    if workers == 1 and (spec.node_budget is not None
-                         or spec.effective_policy() == "lex"):
-        return drive(visits(map))
     if workers == 1:
-        return drive(lambda batch, quotas: iter(
-            _round([s.fork() for s in batch], list(quotas), deadline)))
+        return drive(lambda batch, grants: _round(
+            [s.fork() for s in batch], grants, deadline))
     from concurrent.futures import ProcessPoolExecutor
+
+    def pooled(batch, grants):
+        # worker w runs the round of searches w, w + workers, ...
+        shares = list(pool.map(
+            _round, [batch[w::workers] for w in range(workers)],
+            [grants[w::workers] for w in range(workers)],
+            [deadline] * workers))
+        return [shares[k % workers][k // workers] for k in range(len(batch))]
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return drive(visits(pool.map))
+        return drive(pooled)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

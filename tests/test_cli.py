@@ -428,10 +428,11 @@ def _die(*args):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="workers see the patched visit only when forked",
+    reason="workers find the patched _round only when forked",
 )
 def test_dead_worker_is_io_error(monkeypatch):
-    monkeypatch.setattr(search_module._SkeletonSearch, "visit", _die)
+    # a worker runs _round on its share of each round
+    monkeypatch.setattr(search_module, "_round", _die)
     code, out, err = cli(["search", "--r", "3", "--g", "4", "--n", "12",
                           "--threads", "2"])
     assert code == 3

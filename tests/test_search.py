@@ -418,8 +418,9 @@ _WORKER_SPECS = [
     SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="lex"),
     SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="focus"),
 ] + [SearchSpec(**_F5, node_budget=b) for b in (1, 999, 1000, 1001, 3000)] + [
-    # an enumerate quantum is unbounded, so each pool visit is granted
-    # the whole budget left and the one that overshoots is rerun
+    # an enumerate quantum is unbounded, so a round's first visit is
+    # granted the whole budget left, and each later one, granted
+    # nothing, is visited on once those before it stop early
     SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy,
                node_budget=b)
     for policy, budgets in (("lex", (400, 1000)), ("focus", (400, 2000, 5000)))
@@ -495,6 +496,111 @@ def test_parallel_decide():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
         search_order(SearchSpec(r=1, g=3, n=6), workers=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _in_order(spec):
+    """A reference driver: the pending searches visited one at a time,
+    in the rotation order of search_order, each granted its quota capped
+    by the budget that the visits merged before it leave."""
+    searches = [_SkeletonSearch(spec, sk)
+                for sk in arc_skeletons(spec.n, spec.g)]
+    quantum = (search_module.ROTATION_QUANTUM if spec.mode == "decide"
+               else float("inf"))
+    budget = float("inf") if spec.node_budget is None else spec.node_budget
+
+    def outcome(status):
+        stats = SearchStats()
+        for s in searches:
+            stats.add(s.stats)
+        checkpoint = None
+        if status == "budget_exceeded":
+            checkpoint = {
+                "format": search_module.CHECKPOINT_FORMAT,
+                "version": search_module.CHECKPOINT_VERSION,
+                "package_version": __version__,
+                "spec": spec.key(),
+                "skeletons": [s.to_state() for s in searches],
+            }
+        return search_module.SearchOutcome(
+            status, [w for s in searches for w in s.witnesses], stats,
+            checkpoint)
+
+    while True:
+        order = sorted(
+            (i for i, s in enumerate(searches) if not s.exhausted),
+            key=lambda i: searches[i].stats.nodes // quantum)
+        if not order:
+            found = any(s.witnesses for s in searches)
+            return outcome("found" if found else "exhausted")
+        for i in order:
+            quota = quantum - searches[i].stats.nodes % quantum
+            left = budget - sum(s.stats.nodes for s in searches)
+            if left <= 0:
+                return outcome("budget_exceeded")
+            _, status, used = searches[i].visit(min(quota, left), None)
+            if status == "found":
+                return outcome("found")
+            if status == "paused" and used < quota:
+                return outcome("budget_exceeded")
+
+
+_GRANT_SWEEP = [
+    SearchSpec(r=3, g=6, n=30, node_budget=b)
+    for b in (None, 0, 1, 500, 1000, 2500, 5000, 20_000, 31_288, 31_289)
+] + [
+    SearchSpec(**_F5, node_budget=b)
+    for b in (None, 1, 700, 999, 1000, 1001, 3000, 9000)
+] + [
+    SearchSpec(r=r, g=g, n=n, mode="enumerate", branch_policy=policy,
+               node_budget=b)
+    for r, g, n, policy, budgets in (
+        (3, 4, 12, "focus", (None, 400, 2000, 4000, 6000)),
+        (3, 4, 12, "lex", (None, 400, 1000)),
+        (3, 3, 8, "focus", (None, 100, 1000)),
+    )
+    for b in budgets
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grants_match_visits_in_order(monkeypatch, workers):
+    """A round grants its visits up front, each its quota capped by the
+    budget left at the round's start less the grants before it, and a
+    visit granted less than a visit in order gets, because one before it
+    stopped early, is visited on when it is merged.  So every run of the
+    sweep ends as the reference driver, which grants each visit only when
+    the one before it is merged, ends: status, witnesses, statistics and
+    checkpoint.  At 3,000 nodes of the (3,1,5)@20 decide search the first
+    round's grants run out at (14,6), and as earlier skeletons exhaust
+    early, (13,7), (12,8) and (11,9), granted nothing, are visited on
+    in turn until the budget is spent."""
+    for spec in _GRANT_SWEEP:
+        assert _observable(_search(spec, workers)) == _observable(
+            _in_order(spec)), spec
+    continued = []
+    real = _SkeletonSearch.visit
+
+    def recording(search, quota, deadline):
+        continued.append((search.skeleton.parts, search.stats.nodes, quota))
+        return real(search, quota, deadline)
+
+    monkeypatch.setattr(_SkeletonSearch, "visit", recording)
+    search_order(SearchSpec(**_F5, node_budget=3000), workers=workers)
+    # (skeleton, nodes before, quota): (11,9) takes the last 156 nodes
+    assert continued == [((13, 7), 0, 1000), ((12, 8), 0, 1000),
+                         ((11, 9), 0, 156)]
+
+
+def test_pool_with_fewer_searches_than_workers():
+    """Two skeletons in a pool of three: one worker's share of each
+    round is empty, and the outcome is that of the run in process."""
+    for mode in ("decide", "enumerate"):
+        spec = SearchSpec(r=1, g=3, n=6, mode=mode)
+        assert len(list(arc_skeletons(spec.n, spec.g))) == 2
+        assert _observable(search_order(spec, workers=3)) == _observable(
+            search_order(spec)), mode
+    assert search_module._round([], [], None) == []
 
 
 def test_time_budget_checkpoints():
@@ -850,9 +956,7 @@ def _degree_state(search):
     (dict(r=3, g=5, n=20), [(15, 5), (12, 8)], 925),
     (dict(r=3, g=4, n=12, mode="enumerate", branch_policy="focus"),
      [(8, 4), (6, 6)], 1179),
-    (dict(r=3, g=4, n=12, mode="enumerate", branch_policy="lex"),
-     [(12,), (8, 4)], 381),
-], ids=["3-5-20-decide", "3-4-12-focus", "3-4-12-lex"])
+], ids=["3-5-20-decide", "3-4-12-focus"])
 def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
                                                 steps):
     """Two searches on different skeletons, walked node by node along
@@ -860,9 +964,8 @@ def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
     together (_descend_together), and copies of them take it alone
     (_descend).  Each gets the result, distances, degree state and
     frames it gets alone, and the stacked free pairs and slack of each
-    child that branches equal its own _free_slack; under "lex" a child
-    that fails the orderly test is undone, as alone.  Every tenth step
-    is also recounted from scratch."""
+    child that branches equal its own _free_slack.  Every tenth step is
+    also recounted from scratch."""
     spec = SearchSpec(**kwargs)
     runs = [_SkeletonSearch(spec, sk) for sk in arc_skeletons(spec.n, spec.g)
             if sk.parts in parts]
@@ -894,7 +997,7 @@ def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
             assert s.edges == t.edges
             assert [(f.vertex, f.combos) for f in s.stack] == [
                 (f.vertex, f.combos) for f in t.stack]
-            if got[i] is not None and got[i][0] != "complete":
+            if got[i][0] != "complete":
                 free, slack = t._free_slack()
                 assert (stacked[-1][0][i] == free).all()
                 assert (stacked[-1][1][i] == slack).all()
@@ -907,6 +1010,28 @@ def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
     assert len(stacked) > steps // 2
     assert sorted(run.visit(1, None)[1] for run in runs) == [
         "exhausted", "paused"]
+
+
+def test_lex_round_steps_each_search_alone(monkeypatch):
+    """A "lex" round, budgeted or not, takes every step through
+    _descend, one search at a time: the orderly test on every child
+    leaves a stacked step nothing to save.  A "focus" round of the same
+    spec does descend together, and both give their pinned statistics."""
+    policies = []
+    real = search_module._descend_together
+
+    def recording(steps):
+        policies.append(steps[0][1].policy)
+        return real(steps)
+
+    monkeypatch.setattr(search_module, "_descend_together", recording)
+    for policy, budget in (("lex", None), ("lex", 1000), ("focus", None)):
+        out = search_order(SearchSpec(r=3, g=4, n=12, mode="enumerate",
+                                      branch_policy=policy,
+                                      node_budget=budget))
+        assert out.stats.nodes == budget or out.stats == PINNED_STATS[policy]
+        assert set(policies) <= {"focus"}
+    assert policies
 
 
 def _arc_matrix(skeleton):
@@ -1106,13 +1231,21 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
     """Replaying a mid-run checkpoint rebuilds, skeleton by skeleton, the
     distances, free pairs, degree state (degrees, deficient mask, slack
     base and deficient count) and frames that the interrupted run held
-    at the same node."""
-    live = []
+    at the same node.  A round runs on copies, so the searches the run
+    ends with are the last copy of each skeleton, or the search that
+    __init__ made when none was copied."""
+    made, last = [], {}
 
     class Recording(_SkeletonSearch):
         def __init__(self, spec, skeleton):
             super().__init__(spec, skeleton)
-            live.append(self)
+            made.append(self)
+            last[skeleton.parts] = self
+
+        def fork(self):
+            twin = super().fork()
+            last[self.skeleton.parts] = twin
+            return twin
 
     spec = SearchSpec(r=3, g=5, n=20, mode="decide", branch_policy="focus",
                       node_budget=3000)
@@ -1121,7 +1254,9 @@ def test_checkpoint_replay_rebuilds_search_state(monkeypatch):
     monkeypatch.undo()
     assert cut.status == "budget_exceeded"
     states = json.loads(json.dumps(cut.checkpoint))["skeletons"]
-    assert len(live) == len(states)
+    live = list(last.values())
+    assert len(live) == len(made) == len(states)
+    assert any(run is not first for run, first in zip(live, made))
     assert any(run.edges for run in live)
     for run, state in zip(live, states):
         fresh = _SkeletonSearch(spec, run.skeleton)
