@@ -19,8 +19,9 @@ mode instead completes the most constrained vertex first, which
 surfaces contradictions far earlier.  Pruning is exact distance
 filtering for cycles through new edges, read from a capped directed
 distance matrix that each batch (the edges completing one vertex)
-updates once; degree-demand feasibility against the partners still
-joinable at girth-compatible distance; and a parity cut.  The undo
+updates once, and degree-demand feasibility against the partners still
+joinable at girth-compatible distance.  No parity cut runs per node:
+search_order refuses an odd degree sum rn once per order.  The undo
 stack holds one entry per batch, its vertex, partners and replaced
 matrix, and is also the edge list.  The degrees, the mask of deficient
 vertices and a slack base are kept across nodes: a batch sets its
@@ -219,6 +220,14 @@ class SearchStats:
         for f in fields(self):
             setattr(self, f.name,
                     getattr(self, f.name) + getattr(other, f.name))
+
+    def tally(self, state: str, pruned: int) -> None:
+        """Count an expansion's girth-pruned combinations and its state."""
+        self.girth_prunes += pruned
+        if state == "infeasible":
+            self.infeasible_prunes += 1
+        elif state == "noncanonical":
+            self.canonicity_prunes += 1
 
 
 @dataclass
@@ -703,26 +712,19 @@ class _SkeletonSearch:
 
     def _descend(
         self, frame: _Frame, combo: tuple[int, ...]
-    ) -> tuple[str, int] | None:
+    ) -> tuple[str, int]:
         """Complete the frame's vertex with ``combo`` and expand the
-        child (see _expand).  None, with the batch undone, when the
-        child fails the orderly test (_canonical)."""
+        child, batch left applied.  An orderly search (lex policy, group
+        within CANONICITY_CAP) reports a child "noncanonical" when its edge
+        list is not least in its orbit under the skeleton group; otherwise
+        see _expand ("pushed" | "infeasible" | "complete")."""
         self._add_batch(frame.vertex, combo)
-        if self.orderly and not self._canonical():
-            return None
+        if self.orderly:
+            n, edges = self.n, self.edges
+            if _least_image(self.group(), edges).tolist() != [
+                    a * n + b for a, b in edges]:
+                return "noncanonical", 0
         return self._expand()
-
-    def _canonical(self) -> bool:
-        """The orderly test of an orderly search (lex policy, group
-        within CANONICITY_CAP): False, with the last batch undone, when
-        the grown edge list is not least in its orbit under the skeleton
-        group."""
-        n, edges = self.n, self.edges
-        if _least_image(self.group(), edges).tolist() != [
-                a * n + b for a, b in edges]:
-            self._pop_batch()
-            return False
-        return True
 
     def visit(self, quota: float,
               deadline: float | None) -> tuple[_SkeletonSearch, str, int]:
@@ -818,7 +820,9 @@ class _SkeletonSearch:
     def restore(self, state: dict) -> None:
         """Replay a to_state() record: its statistics, its witnesses
         (_restore_witnesses) and its path.  Raises CheckpointError when
-        the record is malformed or its path leaves the search tree."""
+        the record is malformed, contradicts itself (started exactly when
+        exhausted or on a path, never both, and with no counts or
+        witnesses before it starts) or its path leaves the search tree."""
         try:
             parts = tuple(state["parts"])
             exhausted, started = state["exhausted"], state["started"]
@@ -833,6 +837,12 @@ class _SkeletonSearch:
             )
         if type(exhausted) is not bool or type(started) is not bool:
             raise CheckpointError("exhausted and started must be booleans")
+        if (started != (exhausted or bool(path)) or exhausted and path
+                or not started and (witnesses or stats != SearchStats())):
+            raise CheckpointError(
+                f"state of skeleton {list(parts)} contradicts itself: "
+                f"exhausted {exhausted}, started {started}, path {path!r}"
+            )
         self.stats = stats
         self._restore_witnesses(witnesses)
         self.exhausted = exhausted
@@ -840,11 +850,10 @@ class _SkeletonSearch:
             self.keys = set()
         if exhausted or not started:
             return
-        if (not isinstance(path, list) or not path
+        if (not isinstance(path, list)
                 or any(type(i) is not int for i in path)):
             raise CheckpointError(
-                f"path of skeleton {list(parts)} must be a non-empty "
-                "list of integers"
+                f"path of skeleton {list(parts)} must be a list of integers"
             )
         expanded, _ = self._expand()
         for depth, next_idx in enumerate(path):
@@ -866,13 +875,7 @@ class _SkeletonSearch:
             frame.next_idx = next_idx
             if last:
                 break
-            res = self._descend(frame, frame.combos[next_idx - 1])
-            if res is None:
-                raise CheckpointError(
-                    f"checkpoint replay diverged at depth {depth} of "
-                    f"skeleton {list(parts)}: combination not canonical"
-                )
-            expanded, _ = res
+            expanded, _ = self._descend(frame, frame.combos[next_idx - 1])
 
     def _restore_witnesses(self, payloads) -> None:
         """Admit a record's witnesses again, which checks them and
@@ -925,9 +928,10 @@ def _round(searches: list[_SkeletonSearch], quotas: list[float],
     then all that took one descend together (_descend_together), or
     alone through _descend when only one did, g < 3 or the policy is
     "lex", whose orderly test on every child leaves a stacked step
-    nothing to save.  Each child is
-    counted and handled by its own search: an infeasible one is undone,
-    a complete one goes to _admit.  When a decide search admits a
+    nothing to save.  Each child is one node, and its state is counted
+    by SearchStats.tally, as the root's is.  A child that is not
+    "pushed" ("infeasible", "noncanonical" or "complete") is undone
+    once, a complete one after _admit.  When a decide search admits a
     witness, the searches after it leave the round at once, with no
     result: their state is past what a visit in order would have done,
     so the caller must run a round of several searches on copies and
@@ -937,10 +941,7 @@ def _round(searches: list[_SkeletonSearch], quotas: list[float],
     live = []
     for i, s in enumerate(searches):
         if not s.stack:
-            state, pruned = s._expand()
-            s.stats.girth_prunes += pruned
-            if state == "infeasible":
-                s.stats.infeasible_prunes += 1
+            s.stats.tally(*s._expand())
         live.append(i)
     together = bool(searches) and searches[0].cap >= 2 and (
         searches[0].policy != "lex")
@@ -971,28 +972,22 @@ def _round(searches: list[_SkeletonSearch], quotas: list[float],
                    if together and len(steps) > 1 else None)
         live = []
         for j, (i, s, frame, combo) in enumerate(steps):
-            res = s._descend(frame, combo) if results is None else results[j]
-            stats = s.stats
-            stats.nodes += 1
-            if res is None:
-                stats.canonicity_prunes += 1
-            else:
-                state, pruned = res
-                stats.girth_prunes += pruned
-                if state == "infeasible":
-                    stats.infeasible_prunes += 1
-                    s._pop_batch()
-                elif state == "complete":
-                    found = s._admit(s.edges) and s.spec.mode == "decide"
-                    s._pop_batch()
-                    if found:
-                        out[i] = (s, "found", used[i])
-                        break
+            state, pruned = (s._descend(frame, combo) if results is None
+                             else results[j])
+            s.stats.nodes += 1
+            s.stats.tally(state, pruned)
+            if state != "pushed":
+                found = (state == "complete" and s._admit(s.edges)
+                         and s.spec.mode == "decide")
+                s._pop_batch()
+                if found:
+                    out[i] = (s, "found", used[i])
+                    break
             live.append(i)
     return out
 
 
-def _descend_together(steps: list[tuple]) -> list[tuple[str, int] | None]:
+def _descend_together(steps: list[tuple]) -> list[tuple[str, int]]:
     """_descend for each (index, search, frame, combination) of ``steps``, two
     or more searches of one spec with g >= 3 and no orderly test, from
     one stacked distance update (_stacked_distances) and one stacked pass
@@ -1000,7 +995,7 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int] | None]:
     each per search.  In between, each search takes its child's
     distances as a copy of its row, so no search holds the stacked
     array, and completes its vertex (_add_batch); the complete children
-    skip the free pairs, as in _expand."""
+    skip the free pairs, as in _expand, and none is "noncanonical"."""
     searches = [s for _, s, _, _ in steps]
     r = searches[0].spec.r
     ends: list[int] = []
@@ -1010,13 +1005,10 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int] | None]:
     new = _stacked_distances(
         _np.array([s.dist for s in searches]),
         _np.array(ends, dtype=_np.intp).reshape(len(steps), r + 1))
-    results: list[tuple[str, int] | None] = []
-    branching = []
     for i, (_, s, frame, combo) in enumerate(steps):
         s._add_batch(frame.vertex, combo, new[i].copy())
-        branching.append(s.n_deficient > 0)
-        results.append(None if branching[-1] else ("complete", 0))
-    if any(branching):
+    results = [("complete", 0)] * len(steps)
+    if any(s.n_deficient for s in searches):
         # the rows of complete children are computed unread
         free, slack = _stacked_free_slack(
             new, _np.array([s.deficient for s in searches]),
@@ -1024,7 +1016,7 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int] | None]:
         for i, (s, v, low) in enumerate(zip(
                 searches, slack.argmin(axis=1).tolist(),
                 slack.min(axis=1).tolist())):
-            if branching[i]:
+            if s.n_deficient:
                 results[i] = s._branch(free[i], v, low)
     return results
 
@@ -1157,6 +1149,8 @@ def search_order(
                 if left < _INF:
                     left -= grants[-1]
             ran = sum(grant > 0 for grant in grants)
+            if not ran:  # as the first merge step would, running nothing
+                return outcome("budget_exceeded")
             results = run([searches[i] for i in order[:ran]], grants[:ran]) + [
                 (searches[i], "paused", 0) for i in order[ran:]]
             for idx, quota, grant, result in zip(order, quotas, grants,

@@ -592,6 +592,29 @@ def test_grants_match_visits_in_order(monkeypatch, workers):
                          ((11, 9), 0, 156)]
 
 
+def test_round_granting_nothing_maps_no_share(monkeypatch):
+    """A round whose grants are all 0 ends the run as budget exceeded
+    before any share is mapped through the pool, so no worker process
+    starts: at budget 0, and on a resume whose budget is its checkpoint's
+    node count.  The outcome is that of the run in process."""
+    import concurrent.futures
+
+    class NoMap(concurrent.futures.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            raise AssertionError("a round that grants nothing was mapped")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoMap)
+    spec = SearchSpec(r=3, g=6, n=30, mode="decide", node_budget=0)
+    out = search_order(spec, workers=2)
+    assert out.status == "budget_exceeded"
+    assert _observable(out) == _observable(search_order(spec))
+    cut = _search(SearchSpec(**_F5, node_budget=3000), 1)
+    resumed = search_order(SearchSpec(**_F5, node_budget=3000),
+                           checkpoint=json.loads(json.dumps(cut.checkpoint)),
+                           workers=2)
+    assert _observable(resumed) == _observable(cut)
+
+
 def test_pool_with_fewer_searches_than_workers():
     """Two skeletons in a pool of three: one worker's share of each
     round is empty, and the outcome is that of the run in process."""
@@ -663,6 +686,21 @@ def _active_skeleton(cp):
     )
 
 
+def _unstarted_skeleton(cp):
+    return next(sk for sk in cp["skeletons"] if not sk["started"])
+
+
+def _plant_in_unstarted(cp):
+    """Give the first record not started a verified witness on its own
+    skeleton's arcs, which _restore_witnesses alone would accept."""
+    record = _unstarted_skeleton(cp)
+    arcs = next(frozenset(sk.arcs) for sk in arc_skeletons(12, 4)
+                if list(sk.parts) == record["parts"])
+    full = _search(SearchSpec(r=3, g=4, n=12, mode="enumerate"), 1)
+    record["witnesses"].append(search_module.graph_payload(
+        next(w for w in full.witnesses if w.arcs == arcs)))
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -685,6 +723,15 @@ def _active_skeleton(cp):
         # format 2, which kept the statistics, the witnesses and the
         # schedule position at the top level
         lambda cp: cp.update(version=2, cursor=0, visit_quota_left=None),
+        # records that contradict themselves: a record is started exactly
+        # when it is exhausted or on a path, never both, and one not
+        # started has no counts and no witnesses.  Unchecked, the first
+        # restarts the skeleton on top of its counts, and the second
+        # skips the rest of it and reports "found" with a class missing
+        lambda cp: _active_skeleton(cp).__setitem__("started", False),
+        lambda cp: _active_skeleton(cp).__setitem__("exhausted", True),
+        lambda cp: _unstarted_skeleton(cp)["stats"].__setitem__("nodes", 1),
+        lambda cp: _plant_in_unstarted(cp),
     ],
 )
 def test_malformed_checkpoint_rejected(corrupt):
@@ -722,15 +769,17 @@ def test_repeated_witness_rejected(monkeypatch, policy, cap):
 
 @pytest.mark.parametrize("policy", ["lex", "focus"])
 def test_resume_drops_a_recorded_class_it_meets_again(policy):
-    """A checkpoint record may hold a verified witness of a class the
-    cut has not reached, in its own labeling, so on its skeleton's arcs
-    and as the search will emit it.  The restored keys of that skeleton
-    drop the class when the resumed search meets it, under lex (orderly
-    skeletons) as under focus: one witness per class, 29, the same
-    graphs as the uninterrupted run."""
+    """The record of the skeleton a cut is inside may hold a verified
+    witness of a class the cut has not reached, in its own labeling, so
+    on its skeleton's arcs and as the search will emit it.  The restored
+    keys of that skeleton drop the class when the resumed search meets
+    it, under lex (orderly skeletons) as under focus: one witness per
+    class, 29, the same graphs as the uninterrupted run.  (A record not
+    started holds no witnesses; test_malformed_checkpoint_rejected.)"""
     spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy)
     full = search_order(spec)
-    cut = search_order(dataclasses.replace(spec, node_budget=400))
+    # at 700 nodes both policies are inside (8,4) with classes unreached
+    cut = search_order(dataclasses.replace(spec, node_budget=700))
     reached = {canonical_form(w).encoding for w in cut.witnesses}
     planted = next(w for w in full.witnesses
                    if canonical_form(w).encoding not in reached)
@@ -738,7 +787,7 @@ def test_resume_drops_a_recorded_class_it_meets_again(policy):
     record = next(state for state, sk in zip(cp["skeletons"],
                                              arc_skeletons(12, 4))
                   if frozenset(sk.arcs) == planted.arcs)
-    assert not record["exhausted"]
+    assert record["started"] and not record["exhausted"]
     record["witnesses"].append(search_module.graph_payload(planted))
     out = search_order(spec, checkpoint=cp)
     assert out.status == "found"
@@ -763,6 +812,45 @@ def test_checkpoint_records_package_version():
             trial["package_version"] = recorded
         resumed = search_order(spec, checkpoint=trial)
         assert resumed.stats.as_dict() == full
+
+
+def _path_to(search, state):
+    """The path indices of the first child, in depth-first order below
+    the search's top frame, whose _descend state is ``state``, or None."""
+    frame = search.stack[-1]
+    for idx, combo in enumerate(frame.combos):
+        got, _ = search._descend(frame, combo)
+        if got == state:
+            return [idx + 1]
+        if got == "pushed":
+            below = _path_to(search, state)
+            if below is not None:
+                return [idx + 1] + below
+            search.stack.pop()
+        search._pop_batch()
+    return None
+
+
+@pytest.mark.parametrize("policy, state", [("lex", "noncanonical"),
+                                           ("focus", "infeasible")])
+def test_replay_divergence_names_the_state(policy, state):
+    """A checkpoint path whose inner indices lead to a child that is not
+    "pushed" is refused at the depth of that child, and the message names
+    its state: a non-canonical child of an orderly search, or an
+    infeasible one."""
+    spec = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy=policy)
+    cut = search_order(dataclasses.replace(spec, node_budget=500))
+    cp = json.loads(json.dumps(cut.checkpoint))
+    record = _active_skeleton(cp)
+    search = _SkeletonSearch(spec, next(sk for sk in arc_skeletons(12, 4)
+                                        if list(sk.parts) == record["parts"]))
+    assert search._expand()[0] == "pushed"
+    path = _path_to(search, state)
+    assert path is not None
+    record["path"] = path + [0]
+    with pytest.raises(CheckpointError, match=(
+            f"diverged at depth {len(path)} of skeleton .*: {state} after")):
+        search_order(spec, checkpoint=cp)
 
 
 def test_checkpoint_replay_either_resumes_or_rejects():
