@@ -69,24 +69,25 @@ node counts, and the outcome is their summed statistics and their
 witnesses in skeleton order.  Every round is one call of the one
 depth-first loop, ``_round``, which visits its searches in lockstep:
 each step every live search takes its next combination, and the
-children are descended together, with one stacked distance update and
-one stacked pass for the free pairs and the slack, since every small
-numpy call costs about the same whatever its size.  A step with one
-descending search takes the plain path, which costs about half a
-stacked step of one, and so does every step of a ``lex`` enumeration,
-whose orderly test on every child leaves a stacked step nothing to
-save.  A pool of W workers gives worker w the searches w, w + W, ... of
-a round.  Either way the searches run as copies that the driver merges
-in visit order under one grant rule (search_order), so results never
-depend on the number of workers.
+children are descended together, stacked by bytes joins, with one
+stacked distance update (a gather each way) and one stacked pass for
+the free pairs and the slack, since every small numpy call costs about
+the same whatever its size.  A step with one descending search takes
+the plain path, which costs about half a stacked step of one, and so
+does every step of a ``lex`` enumeration, whose orderly test on every
+child leaves a stacked step nothing to save.  A pool of W workers
+gives worker w the searches w, w + W, ... of a round.  Either way the
+searches run as copies that the driver merges in visit order under one
+grant rule (search_order), so results never depend on the number of
+workers.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from itertools import permutations, product
-from math import comb as _comb
+from itertools import accumulate, permutations, product
+from math import comb as _comb, factorial, prod
 
 import numpy as _np
 
@@ -315,33 +316,21 @@ def _partitions(n: int, min_part: int, max_part: int | None = None):
 
 
 def _block_starts(parts: tuple[int, ...]) -> list[int]:
-    starts, acc = [], 0
-    for p in parts:
-        starts.append(acc)
-        acc += p
-    return starts
+    return list(accumulate(parts[:-1], initial=0))
 
 
 def _skeleton_arcs(parts: tuple[int, ...]) -> list[Pair]:
-    arcs = []
-    for start, length in zip(_block_starts(parts), parts):
-        for i in range(length):
-            arcs.append((start + i, start + (i + 1) % length))
-    return arcs
+    return [(start + i, start + (i + 1) % length)
+            for start, length in zip(_block_starts(parts), parts)
+            for i in range(length)]
 
 
 def skeleton_group_order(parts: tuple[int, ...]) -> int:
     """|Aut| of the labeled skeleton: rotations of each cycle times
     permutations of equal-length cycles."""
-    total = 1
-    for p in parts:
-        total *= p
-    counts: dict[int, int] = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    for c in counts.values():
-        for k in range(2, c + 1):
-            total *= k
+    total = prod(parts)
+    for length in set(parts):
+        total *= factorial(parts.count(length))
     return total
 
 
@@ -468,14 +457,16 @@ def _grow(out: list, dist, lo: int, head: tuple[int, ...], pool: list[int],
           k: int) -> None:
     """Append to ``out``, in lexicographic order, ``head`` extended by
     every k-subset of the sorted ``pool`` (k >= 2) whose pairs a, b all
-    have ``dist(a, b) >= lo`` and ``dist(b, a) >= lo``."""
-    for p in range(len(pool) - k + 1):
-        a = pool[p]
+    have ``dist(a, b) >= lo`` and ``dist(b, a) >= lo``; the pair level
+    (k == 2) is one comprehension, each deeper one recurses per a."""
+    if k == 2:
+        out += [head + (a, b) for p, a in enumerate(pool) for b in pool[p + 1:]
+                if dist(a, b) >= lo and dist(b, a) >= lo]
+        return
+    for p, a in enumerate(pool):
         rest = [b for b in pool[p + 1:]
                 if dist(a, b) >= lo and dist(b, a) >= lo]
-        if k == 2:
-            out.extend(head + (a, b) for b in rest)
-        elif len(rest) >= k - 1:
+        if len(rest) >= k - 1:
             _grow(out, dist, lo, head + (a,), rest, k - 1)
 
 
@@ -992,10 +983,11 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int]]:
     or more searches of one spec with g >= 3 and no orderly test, from
     one stacked distance update (_stacked_distances) and one stacked pass
     for the free pairs and slack (_stacked_free_slack) instead of one of
-    each per search.  In between, each search takes its child's
-    distances as a copy of its row, so no search holds the stacked
-    array, and completes its vertex (_add_batch); the complete children
-    skip the free pairs, as in _expand, and none is "noncanonical"."""
+    each per search, each input stacked by one bytes join (_stack).  In
+    between, each search takes its child's distances as a copy of its
+    row, so no search holds the stacked array, and completes its vertex
+    (_add_batch); the complete children skip the free pairs, as in
+    _expand, and none is "noncanonical"."""
     searches = [s for _, s, _, _ in steps]
     r = searches[0].spec.r
     ends: list[int] = []
@@ -1003,7 +995,7 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int]]:
         # repeating a partner leaves each minimum as it is
         ends += (frame.vertex,) + combo + combo[:1] * (r - len(combo))
     new = _stacked_distances(
-        _np.array([s.dist for s in searches]),
+        _stack([s.dist for s in searches]),
         _np.array(ends, dtype=_np.intp).reshape(len(steps), r + 1))
     for i, (_, s, frame, combo) in enumerate(steps):
         s._add_batch(frame.vertex, combo, new[i].copy())
@@ -1011,8 +1003,8 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int]]:
     if any(s.n_deficient for s in searches):
         # the rows of complete children are computed unread
         free, slack = _stacked_free_slack(
-            new, _np.array([s.deficient for s in searches]),
-            _np.array([s.base for s in searches]), searches[0]._far)
+            new, _stack([s.deficient for s in searches]),
+            _stack([s.base for s in searches]), searches[0]._far)
         for i, (s, v, low) in enumerate(zip(
                 searches, slack.argmin(axis=1).tolist(),
                 slack.min(axis=1).tolist())):
@@ -1021,19 +1013,27 @@ def _descend_together(steps: list[tuple]) -> list[tuple[str, int]]:
     return results
 
 
+def _stack(arrays: list[_np.ndarray]) -> _np.ndarray:
+    """Arrays of one shape and dtype, each C-contiguous (else TypeError),
+    stacked on a new first axis by one bytes join, read-only."""
+    return _np.frombuffer(b"".join(arrays), arrays[0].dtype).reshape(
+        len(arrays), *arrays[0].shape)
+
+
 def _stacked_distances(dists: _np.ndarray, ends: _np.ndarray) -> _np.ndarray:
     """The distances of _add_batch for a stack of k searches at once:
     ``dists`` is (k, n, n), and row i of ``ends`` holds search i's vertex
     v followed by its partners.  The new distances into v are the least
     of ``dist[a, v]`` and ``dist[a, u] + 1`` over the partners u, those
     out of v likewise, and every other distance is the least of its old
-    value and one outer sum."""
-    at = _np.arange(len(dists))[:, None]
-    # one step to v from v itself, two from each partner
-    steps = _np.array([(0,)] + [(1,)] * (ends.shape[1] - 1), dtype=_np.int8)
-    to_v = (dists[at, :, ends] + steps).min(axis=1)
-    from_v = (dists[at, ends] + steps).min(axis=1)
-    via = to_v[:, :, None] + from_v[:, None, :]
+    value and one outer sum.  One gather each way, position first, puts
+    the +1 and the least over the ends on whole leading blocks."""
+    k = len(dists)
+    at, ends = _np.arange(k), ends.T
+    near = _np.concatenate((dists[at, :, ends], dists[at, ends]), axis=1)
+    near[1:] += 1  # v itself is position 0
+    least = near.min(axis=0)
+    via = least[:k, :, None] + least[k:, None, :]
     return _np.minimum(dists, via, out=via)
 
 

@@ -123,11 +123,40 @@ MUTANTS = (
         (_T + "test_incremental_distances_match_matrix_powers",
          _T + "test_search_state_holds_past_narrow_dtype_limits[n260-g3]"),
     ),
+    # the pair level keeps a pair that a short path joins one way
+    Mutant(
+        "pair-filter-one-direction", _SEARCH,
+        "        out += [head + (a, b) for p, a in enumerate(pool)"
+        " for b in pool[p + 1:]\n"
+        "                if dist(a, b) >= lo and dist(b, a) >= lo]\n",
+        "        out += [head + (a, b) for p, a in enumerate(pool)"
+        " for b in pool[p + 1:]\n"
+        "                if dist(a, b) >= lo]\n",
+        (_T + "test_grow_matches_filtered_combinations",
+         _T + "test_combos_match_reference_on_search_states[3-5-20-focus]"),
+    ),
     # the stacked update steps from v itself as from a partner
     Mutant(
         "stacked-step-offset", _SEARCH,
-        "    steps = _np.array([(0,)] + [(1,)] * (ends.shape[1] - 1),",
-        "    steps = _np.array([(1,)] + [(1,)] * (ends.shape[1] - 1),",
+        "    near[1:] += 1",
+        "    near += 1",
+        (_T + "test_stacked_step_matches_each_search_alone",),
+    ),
+    # search i takes row -i of the stacked distances: the same rows as
+    # row i for two searches, a wrong one for the middle of three
+    Mutant(
+        "stacked-row-order", _SEARCH,
+        "        s._add_batch(frame.vertex, combo, new[i].copy())\n",
+        "        s._add_batch(frame.vertex, combo, new[-i].copy())\n",
+        (_T + "test_stacked_step_matches_each_search_alone"
+         "[3-5-20-decide-three]",),
+    ),
+    # the stacked slack adds each search's deficient mask as its base
+    Mutant(
+        "stacked-base-from-masks", _SEARCH,
+        "            _stack([s.base for s in searches]), searches[0]._far)\n",
+        "            _stack([s.deficient for s in searches]),"
+        " searches[0]._far)\n",
         (_T + "test_stacked_step_matches_each_search_alone",),
     ),
     # the stacked free pairs read one direction of the distances

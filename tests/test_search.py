@@ -928,6 +928,29 @@ def _reference_combos(search, trans, v, cands):
     return out, comb(len(cands), need) - len(out)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grow_matches_filtered_combinations(data):
+    """On random asymmetric int8 matrices, pools of 0..12 and thresholds
+    below, inside and above the values: _grow appends exactly the
+    k-subsets of the pool, k = 2..4, whose pairs pass ``lo`` both ways,
+    each after ``head``, in lexicographic order."""
+    n = 12
+    dist = np.array(data.draw(st.lists(st.integers(-3, 6), min_size=n * n,
+                                       max_size=n * n)),
+                    dtype=np.int8).reshape(n, n)
+    pool = sorted(data.draw(st.sets(st.integers(0, n - 1)), label="pool"))
+    k = data.draw(st.integers(2, 4), label="k")
+    lo = data.draw(st.integers(-4, 7), label="lo")
+    head = data.draw(st.sampled_from([(), (n,), (n, n + 1)]), label="head")
+    out = [("kept",)]
+    search_module._grow(out, dist.item, lo, head, pool, k)
+    assert out == [("kept",)] + [
+        head + c for c in itertools.combinations(pool, k)
+        if all(dist[a, b] >= lo and dist[b, a] >= lo
+               for a, b in itertools.combinations(c, 2))]
+
+
 @pytest.mark.parametrize("kwargs,status,stats,pools", [
     (dict(r=3, g=5, n=20), "exhausted",
      SearchStats(nodes=9688, girth_prunes=8919, canonicity_prunes=0,
@@ -1042,18 +1065,22 @@ def _degree_state(search):
 
 @pytest.mark.parametrize("kwargs,parts,steps", [
     (dict(r=3, g=5, n=20), [(15, 5), (12, 8)], 925),
+    (dict(r=3, g=5, n=20), [(10, 10), (10, 5, 5), (9, 6, 5)], 508),
     (dict(r=3, g=4, n=12, mode="enumerate", branch_policy="focus"),
      [(8, 4), (6, 6)], 1179),
-], ids=["3-5-20-decide", "3-4-12-focus"])
+], ids=["3-5-20-decide", "3-5-20-decide-three", "3-4-12-focus"])
 def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
                                                 steps):
-    """Two searches on different skeletons, walked node by node along
-    their real trees until the smaller one is exhausted, take every step
+    """Searches on different skeletons, walked node by node along their
+    real trees until the smallest one is exhausted, take every step
     together (_descend_together), and copies of them take it alone
     (_descend).  Each gets the result, distances, degree state and
     frames it gets alone, and the stacked free pairs and slack of each
     child that branches equal its own _free_slack.  Every tenth step is
-    also recounted from scratch."""
+    also recounted from scratch.  Some steps stack vertices that need
+    different numbers of partners, so some rows of the stacked update
+    are padded, and three searches catch a stack read in the wrong row
+    order."""
     spec = SearchSpec(**kwargs)
     runs = [_SkeletonSearch(spec, sk) for sk in arc_skeletons(spec.n, spec.g)
             if sk.parts in parts]
@@ -1067,11 +1094,13 @@ def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
         return stacked[-1]
 
     monkeypatch.setattr(search_module, "_stacked_free_slack", recording)
+    padded = 0
     for step in range(steps):
         together = [run.fork() for run in runs]
         alone = [run.fork() for run in runs]
         taken = [_take_step(s) for s in together]
         assert all(taken)
+        padded += len({len(combo) for _, combo in taken}) > 1
         assert [(f.vertex, c) for f, c in taken] == [
             (f.vertex, c) for f, c in map(_take_step, alone)]
         got = search_module._descend_together(
@@ -1096,8 +1125,9 @@ def test_stacked_step_matches_each_search_alone(monkeypatch, kwargs, parts,
         for run in runs:
             run.visit(1, None)
     assert len(stacked) > steps // 2
+    assert padded > steps // 10
     assert sorted(run.visit(1, None)[1] for run in runs) == [
-        "exhausted", "paused"]
+        "exhausted"] + ["paused"] * (len(runs) - 1)
 
 
 def test_lex_round_steps_each_search_alone(monkeypatch):
