@@ -23,16 +23,20 @@ automorphism.  At every level, the discovered automorphisms that fix
 the individualized prefix prune the cell's vertices that lie in the
 orbit of an already tried one.  The first path is the branch that
 individualizes the first vertex of each target cell down to the first
-leaf.  A leaf with the first leaf's encoding sends the search straight
-back to the level where its path left the first path (McKay,
-"Practical graph isomorphism", Congr. Numer. 30, 1981).  The group
-order is the product, over the first path's levels, of that vertex's
-orbit size in its cell under the discovered automorphisms that fix the
-level's prefix; the ones that join two orbits at some level are the
-generators.  An isomorphism test labels neither graph canonically: it
-takes the first leaf of h's search and searches g's tree for a leaf
-with that encoding, stopping at the first one (McKay 1981), so g's
-search is exhausted only when the two are not isomorphic.  Plain
+leaf.  It is the same for every search of a graph, so its refined
+partitions are computed once per graph object, on its first search,
+and kept on that object for as long as it lives; every later search of
+it descends them without refining (nauty and Traces keep their first
+path for the same reuse).  A leaf with the first leaf's encoding sends
+the search straight back to the level where its path left the first
+path (McKay, "Practical graph isomorphism", Congr. Numer. 30, 1981).
+The group order is the product, over the first path's levels, of that
+vertex's orbit size in its cell under the discovered automorphisms that
+fix the level's prefix; the ones that join two orbits at some level are
+the generators.  An isomorphism test labels neither graph canonically:
+it takes the first leaf of h's first path and searches g's tree for a
+leaf with that encoding, stopping at the first one (McKay 1981), so
+g's search is exhausted only when the two are not isomorphic.  Plain
 closure enumeration serves small groups and tests as an independent
 check.
 """
@@ -40,7 +44,7 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import MixedGraph, Permutation, apply_permutation, degree_profile
 
@@ -95,7 +99,7 @@ class GroupFingerprint:
 
 def canonical_form(g: MixedGraph) -> CanonicalForm:
     """Canonical encoding; equal across all relabelings of the same graph."""
-    enc, perm, _, _ = _ir_search(g)
+    enc, perm, _ = _ir_search(g)
     return CanonicalForm(enc, perm)
 
 
@@ -104,10 +108,11 @@ def is_isomorphic(
 ) -> tuple[bool, Permutation | None]:
     """Isomorphism test with witness mapping g onto h.
 
-    h's labeling search stops at its first leaf, and g's at the first
-    leaf with that leaf's encoding: g and h are isomorphic exactly when
-    g's search finds one.  A found leaf's labeling, followed by the
-    inverse of h's, maps g onto h: that is the witness.  Conversely, the
+    h's first leaf is read from h's first path (refined on h's first
+    search and kept on h), and g's search stops at the first leaf with
+    that leaf's encoding: g and h are isomorphic exactly when g's
+    search finds one.  A found leaf's labeling, followed by the inverse
+    of h's, maps g onto h: that is the witness.  Conversely, the
     tree is labeling-invariant, so for any isomorphism phi from g onto
     h, phi's preimage of h's first path is a path of g's tree, and it
     ends in a leaf with h's encoding.  Orbit pruning and the jump back
@@ -123,37 +128,37 @@ def is_isomorphic(
         zip(ph.deg, ph.outdeg, ph.indeg)
     ):
         return False, None
-    enc, first, _, _ = _ir_search(h, until=lambda e: True)
-    found = _ir_search(g, until=enc.__eq__)
+    first = _labeling(_first_path(h).partitions[-1])
+    found = _ir_search(g, until=_encode(h, first).__eq__)
     if found is None:
         return False, None
-    return True, first.inverse() @ found[1]
+    return True, Permutation(tuple(first)).inverse() @ found[1]
 
 
 def automorphism_group(g: MixedGraph) -> AutGroup:
     """Generators and exact order of the automorphism group.
 
-    Level i of the first path has prefix p_i and target cell C_i, and
-    the order is the product of |orbit of C_i[0] within C_i| under the
-    discovered automorphisms that fix p_i.  It is exact: every vertex
-    of C_i is explored or pruned by a known automorphism that fixes
-    p_i; an explored vertex in the true orbit reaches a leaf whose
-    encoding equals the first leaf's (in its subtree only such a leaf
-    jumps, and pruning skips images of subtrees explored without one),
-    and the automorphism recorded there, before the jump back to level
-    i, fixes p_i; so orbit-stabilizer applies down to the discrete
-    leaf.  The generators are the discovered automorphisms that, taken
+    Level i of g's first path (refined on g's first search and kept on
+    g) has prefix p_i and target cell C_i, and the order is the product
+    of |orbit of C_i[0] within C_i| under the discovered automorphisms
+    that fix p_i.  It is exact: every vertex of C_i is explored or
+    pruned by a known automorphism that fixes p_i; an explored vertex
+    in the true orbit reaches a leaf whose encoding equals the first
+    leaf's (in its subtree only such a leaf jumps, and pruning skips
+    images of subtrees explored without one), and the automorphism
+    recorded there, before the jump back to level i, fixes p_i; so
+    orbit-stabilizer applies down to the discrete leaf.  The generators are the discovered automorphisms that, taken
     in sorted order, join two orbits at some level.  They give the same
     orbits at every level, so they generate the group; each is
     re-verified against the graph.  A generator is kept when it joins
     two orbits at its level even if the earlier ones already produce
     it, so the set need not be minimal (see AutGroup).
     """
-    _, _, autos, path = _ir_search(g)
+    _, _, autos = _ir_search(g)
     autos.sort()
     order = 1
     joiners: set[_Perm] = set()
-    for prefix, cell in path:
+    for prefix, cell in _first_path(g).levels:
         orbits = _PrefixOrbits(g.n, autos, prefix)
         order *= sum(orbits.find(v) == orbits.find(cell[0]) for v in cell)
         joiners.update(orbits.joined)
@@ -279,6 +284,69 @@ def _refine_cells(g: MixedGraph, cells: list[list[int]]) -> list[list[int]]:
         cells = split
 
 
+def _target(cells: list[list[int]]) -> list[int]:
+    """The cell a node branches on: the first smallest non-singleton
+    cell in color order."""
+    return min((c for c in cells if len(c) > 1), key=len)
+
+
+def _individualize(
+    cells: list[list[int]], i: int, v: int
+) -> list[list[int]]:
+    """The child's unrefined cells: v goes first, ahead of the rest of
+    its cell cells[i]."""
+    return cells[:i] + [[v], [u for u in cells[i] if u != v]] + cells[i + 1:]
+
+
+class _FirstPath(NamedTuple):
+    """The first path of a graph's labeling search.
+
+    ``partitions`` holds the refined cells of each node on it, the
+    root's first and the discrete leaf's last; ``levels`` holds the
+    (prefix, target cell) pair of each node above the leaf.  Every
+    search of the graph object shares them, so nothing may change them:
+    a search only reads them and builds each child's cells anew.
+    """
+
+    partitions: tuple[list[list[int]], ...]
+    levels: tuple[tuple[_Perm, list[int]], ...]
+
+
+def _first_path(g: MixedGraph) -> _FirstPath:
+    """g's first path: from the degree cells down to the first discrete
+    leaf, individualizing the first vertex of each target cell.
+
+    The first call for a graph object refines it and stores it in the
+    object's instance dict, as ``cached_property`` stores
+    ``flat_neighbors``; later calls read it.  So it is released with
+    its graph, and there is no cache to bound: an equal graph built
+    apart refines its own.
+    """
+    stored = vars(g)
+    if "_first_path" not in stored:
+        cells = _refine_cells(g, _degree_cells(g))
+        partitions = [cells]
+        levels: list[tuple[_Perm, list[int]]] = []
+        prefix: _Perm = ()
+        while len(cells) < g.n:
+            cell = _target(cells)
+            levels.append((prefix, cell))
+            prefix += (cell[0],)
+            cells = _refine_cells(
+                g, _individualize(cells, cells.index(cell), cell[0]))
+            partitions.append(cells)
+        stored["_first_path"] = _FirstPath(tuple(partitions), tuple(levels))
+    return stored["_first_path"]
+
+
+def _labeling(cells: list[list[int]]) -> list[int]:
+    """The labeling of a discrete leaf: each vertex's cell index."""
+    pos = [0] * len(cells)
+    for i, (v,) in enumerate(cells):
+        pos[v] = i
+    return pos
+
+
 def _encode(g: MixedGraph, pos: list[int]) -> bytes:
     """Row-major byte encoding of the three relations under a labeling."""
     n = g.n
@@ -322,17 +390,19 @@ class _PrefixOrbits:
 
 def _ir_search(
     g: MixedGraph, until: Callable[[bytes], bool] | None = None
-) -> (
-    tuple[bytes, Permutation, list[_Perm], list[tuple[_Perm, list[int]]]]
-    | None
-):
+) -> tuple[bytes, Permutation, list[_Perm]] | None:
     """Backtracking search; returns the canonical encoding, one canonical
-    labeling, all automorphisms discovered from equal-encoding leaves,
-    and the (prefix, target cell) pair of each level of the first path.
+    labeling, and all automorphisms discovered from equal-encoding
+    leaves.
 
     With ``until``, the first leaf whose encoding satisfies it takes the
     place of the canonical one and ends the search; when no leaf does,
     the result is None.
+
+    The first path comes from ``_first_path(g)``, refined on g's first
+    search and kept on g: a node whose ancestors all took the first
+    vertex of their target cell reads its cells from it, and only the
+    nodes off it refine.
 
     Branch pruning: two candidate vertices of a target cell lead to
     interchangeable subtrees whenever a known automorphism that fixes
@@ -349,17 +419,15 @@ def _ir_search(
     depth k + 1, so it holds no new encoding.
     """
     n = g.n
+    first = _first_path(g)
     # the least leaf so far, or with until the leaf that met it
     best: list[tuple[bytes, Permutation]] = []
     seen: dict[bytes, tuple[int, ...]] = {}
     autos: list[_Perm] = []
-    path: list[tuple[_Perm, list[int]]] = []
 
     def leaf(cells: list[list[int]], prefix: tuple[int, ...]) -> int:
         """Record the leaf; return the depth to resume at (-1 to stop)."""
-        pos = [0] * n
-        for i, (v,) in enumerate(cells):
-            pos[v] = i
+        pos = _labeling(cells)
         enc = _encode(g, pos)
         perm = tuple(pos)
         if until is None:
@@ -381,19 +449,19 @@ def _ir_search(
         if enc != next(iter(seen)):
             return depth
         # the first level where this path left the first path
-        return next(k for k, v in enumerate(prefix) if v != path[k][1][0])
+        return next(
+            k for k, v in enumerate(prefix) if v != first.levels[k][1][0])
 
-    def descend(cells: list[list[int]], prefix: tuple[int, ...]) -> int:
-        """Explore the node; return the depth to resume at (k on a jump,
-        -1 once ``until`` is met)."""
+    def descend(
+        cells: list[list[int]], prefix: tuple[int, ...], on_path: bool
+    ) -> int:
+        """Explore the node (on the first path when ``on_path``); return
+        the depth to resume at (k on a jump, -1 once ``until`` is met)."""
         if len(cells) == n:
             return leaf(cells, prefix)
         depth = len(prefix)
-        # the first smallest non-singleton cell in color order
-        cell = min((c for c in cells if len(c) > 1), key=len)
+        cell = _target(cells)
         i = cells.index(cell)
-        if not seen:
-            path.append((prefix, cell))
         tried: list[int] = []
         autos_seen = -1
         uf = None
@@ -405,19 +473,17 @@ def _ir_search(
                 if any(uf.find(v) == uf.find(u) for u in tried):
                     continue
             tried.append(v)
-            # individualize v: it goes first, ahead of the rest of its cell
-            rest = [u for u in cell if u != v]
-            resume = descend(
-                _refine_cells(g, cells[:i] + [[v], rest] + cells[i + 1:]),
-                prefix + (v,),
-            )
+            on = on_path and v == cell[0]
+            child = (first.partitions[depth + 1] if on
+                     else _refine_cells(g, _individualize(cells, i, v)))
+            resume = descend(child, prefix + (v,), on)
             if resume < depth:
                 return resume
         return depth
 
-    descend(_refine_cells(g, _degree_cells(g)), ())
+    descend(first.partitions[0], (), True)
     if best:
-        return (*best[0], autos, path)
+        return (*best[0], autos)
     if until is None:
         raise RuntimeError("canonical labeling search reached no leaf")
     return None

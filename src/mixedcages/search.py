@@ -175,11 +175,13 @@ class SearchSpec:
         """Vertex-selection policy.
 
         "lex" completes the least-index deficient vertex, which keeps
-        the accumulated edge list sorted and enables orderly
-        isomorph rejection -- required for enumerate mode.  "focus"
+        the accumulated edge list sorted and enables orderly isomorph
+        rejection; it is the default for enumerate mode.  "focus"
         completes the most constrained vertex first (fail-first), which
         surfaces contradictions much earlier and is the default for
-        decide mode, where isomorph rejection is unnecessary.
+        decide mode.  Either policy enumerates every class once:
+        without orderly rejection, ``_SkeletonSearch._admit`` drops a
+        completion whose class the skeleton's search has already met.
         """
         if self.branch_policy != "auto":
             return self.branch_policy

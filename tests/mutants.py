@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 _SEARCH = "mixedcages/search.py"
 _T = "tests/test_search.py::"
+_ISO = "mixedcages/isomorphism.py"
+_I = "tests/test_isomorphism.py::"
 
 MUTANTS = (
     # the orderly test leaves its batch applied; the round must undo it
@@ -165,6 +167,24 @@ MUTANTS = (
         "    free = (far & far.transpose(0, 2, 1)).view(_np.int8)\n",
         "    free = far.view(_np.int8)\n",
         (_T + "test_stacked_step_matches_each_search_alone",),
+    ),
+    # a node off the first path that takes the first vertex of its
+    # target cell reads the first path's next partition
+    Mutant(
+        "off-path-node-reads-first-path", _ISO,
+        "            on = on_path and v == cell[0]\n",
+        "            on = v == cell[0]\n",
+        (_I + "test_aut_counts_match_brute_force",
+         _I + "test_cold_and_warm_searches_agree_on_benchmark_graphs"),
+    ),
+    # the first path is stored per graph order, so that graphs of one
+    # order share it
+    Mutant(
+        "first-path-keyed-by-order", _ISO,
+        "    stored = vars(g)\n",
+        "    stored = _first_path.__dict__.setdefault(g.n, {})\n",
+        (_I + "test_an_equal_graph_object_refines_from_scratch",
+         _I + "test_cold_and_warm_searches_agree_on_benchmark_graphs"),
     ),
 )
 

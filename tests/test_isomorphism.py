@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import itertools
+import json
 import math
 import random
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,6 +24,8 @@ from mixedcages import (
     search_order,
 )
 from mixedcages import isomorphism
+from mixedcages.graphs import MixedGraph
+from mixedcages.matrixio import read_adjacency_matrix
 from mixedcages.constructions import (
     build_g30,
     rotation_automorphism,
@@ -36,6 +42,17 @@ def brute_force_automorphism_count(g):
         for p in itertools.permutations(range(g.n))
         if apply_permutation(g, Permutation(p)) == g
     )
+
+
+def _fresh(g):
+    """An equal copy of g: a distinct object, with nothing stored on it."""
+    return MixedGraph(g.n, g.edges, g.arcs)
+
+
+def _relabeled(g, rng):
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return apply_permutation(g, Permutation(tuple(p)))
 
 
 def petersen():
@@ -176,15 +193,9 @@ def test_is_isomorphic_on_every_pair_of_classes(classes_3_1_4_at_12):
     All share one degree sequence, so a negative verdict needs g's
     labeling search to run to exhaustion without meeting h's leaf."""
     rng = random.Random(26)
-
-    def relabeled(w):
-        p = list(range(w.n))
-        rng.shuffle(p)
-        return apply_permutation(w, Permutation(tuple(p)))
-
     for i, a in enumerate(classes_3_1_4_at_12):
         for j, b in enumerate(classes_3_1_4_at_12):
-            g, h = relabeled(a), relabeled(b)
+            g, h = _relabeled(a, rng), _relabeled(b, rng)
             verdict, witness = is_isomorphic(g, h)
             assert verdict == (i == j), (i, j)
             if verdict:
@@ -210,13 +221,15 @@ def test_is_isomorphic_stops_at_the_first_target_leaf(g30):
         calls.append(1)
         return real(g, cells)
 
+    # fresh objects, so that every search refines its first path too
     for h, expected in ((relabeled, True), (switched, False)):
         with mock.patch.object(isomorphism, "_refine_cells", counted):
             calls.clear()
-            verdict, witness = is_isomorphic(g30, h)
+            verdict, witness = is_isomorphic(_fresh(g30), _fresh(h))
             test_calls = len(calls)
             calls.clear()
-            same = canonical_form(g30).encoding == canonical_form(h).encoding
+            same = (canonical_form(_fresh(g30)).encoding
+                    == canonical_form(_fresh(h)).encoding)
             labeling_calls = len(calls)
         assert verdict == same == expected
         if verdict:
@@ -472,10 +485,11 @@ def test_labeling_and_group_match_reference_refine(g):
         return _reference_refine_cells(g, _coloring(cells, g.n))[1]
 
     # every search node refines through _refine_cells, the root's too
-    # (from the degree cells)
+    # (from the degree cells); g keeps its first path, so the patched
+    # searches run on fresh copies, which refine it again
     with mock.patch.object(isomorphism, "_refine_cells", reference):
-        assert cf == canonical_form(g)
-        assert group == automorphism_group(g)
+        assert cf == canonical_form(_fresh(g))
+        assert group == automorphism_group(_fresh(g))
     assert calls
 
 
@@ -557,3 +571,128 @@ def test_canonical_encoding_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(PINNED_ENCODINGS))
 def test_pinned_search_nodes_refine_like_reference(name):
     _assert_nodes_refine_like_reference(_pinned_graph(name))
+
+
+# ---------------------------------------------------------------------------
+# the first path, refined once per graph object and kept on it
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _answers(g, *hs):
+    """g's canonical form and group, and its isomorphism test against
+    each of hs."""
+    return (canonical_form(g), automorphism_group(g),
+            *(is_isomorphic(g, h) for h in hs))
+
+
+def _assert_cold_and_warm_agree(g, *hs):
+    """Each answer on fresh copies, which refine their first paths, is
+    the answer on g and hs twice: the first round stores g's and hs'
+    first paths and the second only reads them.  Returns the answers."""
+    cold = (canonical_form(_fresh(g)), automorphism_group(_fresh(g)),
+            *(is_isomorphic(_fresh(g), _fresh(h)) for h in hs))
+    for _ in range(2):
+        assert _answers(g, *hs) == cold
+    return cold
+
+
+def test_cold_and_warm_searches_agree_on_benchmark_graphs():
+    """The 33 graphs of the benchmark, each in its file labeling and 3
+    seeded relabelings, against the file labeling and against its
+    partner: the same bytes cold and warm, and the expected answers."""
+    entries = json.loads(
+        (PERFBENCH / "expected" / "graphs.json").read_text())["graphs"]
+    graphs = {name: read_adjacency_matrix((PERFBENCH / e["file"]).read_text())
+              for name, e in entries.items()}
+    assert len(graphs) == 33
+    rng = random.Random(33)
+    for name, e in entries.items():
+        base = graphs[name]
+        partners = [graphs[e["partner"]]] if e["partner"] else []
+        for g in [_fresh(base)] + [_relabeled(base, rng) for _ in range(3)]:
+            _, group, (same, witness), *others = _assert_cold_and_warm_agree(
+                g, base, *partners)
+            assert group.order == e["aut_order"], name
+            assert same and apply_permutation(g, witness) == base, name
+            assert others == [(False, None)] * len(partners), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cold_and_warm_searches_agree_on_mixed_graphs(data):
+    g = data.draw(mixed_graphs(), label="g")
+    if data.draw(st.booleans(), label="relabel"):
+        p = data.draw(st.permutations(range(g.n)), label="permutation")
+        h = apply_permutation(g, Permutation(tuple(p)))
+    else:
+        h = data.draw(mixed_graphs(), label="h")
+    _assert_cold_and_warm_agree(g, h)
+
+
+def _refine_inputs(run):
+    """The cells that each _refine_cells call gets while run() runs."""
+    inputs = []
+    real = isomorphism._refine_cells
+
+    def spy(g, cells):
+        inputs.append(cells)
+        return real(g, cells)
+
+    with mock.patch.object(isomorphism, "_refine_cells", spy):
+        run()
+    return inputs
+
+
+def _first_path_inputs(g):
+    """The cells that refine to the nodes of g's first path."""
+    first = isomorphism._first_path(g)
+    return [isomorphism._degree_cells(g)] + [
+        isomorphism._individualize(cells, cells.index(cell), cell[0])
+        for cells, (_, cell) in zip(first.partitions, first.levels)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENCODINGS))
+@pytest.mark.parametrize("call", ["canonical_form", "automorphism_group",
+                                  "is_isomorphic"])
+def test_warm_search_refines_only_off_the_first_path(call, name):
+    """A search of an object whose first path is stored refines no node
+    of it, and refines exactly the nodes that a cold search refines
+    besides it."""
+    g = _pinned_graph(name)
+    h = _relabeled(g, random.Random(name))
+    run = {
+        "canonical_form": lambda g, h: canonical_form(g),
+        "automorphism_group": lambda g, h: automorphism_group(g),
+        "is_isomorphic": is_isomorphic,
+    }[call]
+    cold = _refine_inputs(lambda: run(_fresh(g), _fresh(h)))
+    run(g, h)
+    warm = _refine_inputs(lambda: run(g, h))
+    on_path = _first_path_inputs(g)
+    if call == "is_isomorphic":
+        on_path += _first_path_inputs(h)
+    assert not [cells for cells in warm if cells in on_path]
+    assert len(cold) == len(warm) + len(on_path)
+
+
+def test_an_equal_graph_object_refines_from_scratch():
+    g = build_g30()
+    canonical_form(g)
+    h = _fresh(g)
+    assert h == g and h is not g
+    warm = _refine_inputs(lambda: canonical_form(g))
+    cold = _refine_inputs(lambda: canonical_form(h))
+    assert len(cold) == len(warm) + len(isomorphism._first_path(g).partitions)
+    assert isomorphism._first_path(h) == isomorphism._first_path(g)
+    assert isomorphism._first_path(h) is not isomorphism._first_path(g)
+
+
+def test_first_path_is_released_with_its_graph():
+    g = build_g30()
+    assert is_isomorphic(g, g)[0] and automorphism_group(g).order == 20
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
