@@ -9,16 +9,19 @@ an arc on the same pair.
 
 The fast path works per starting incidence: the shortest cycle through
 an arc (u,v) is 1 plus the shortest v->u path in the arc-augmented
-digraph (edges usable in both directions); for an edge the same holds
-per orientation with that edge itself banned from the return path.
+digraph (edges usable in both directions); for an edge {u,v}, u < v,
+the same holds with that edge itself banned from the return path.
 Vertex-distinctness comes free from breadth-first search, and banning
 the start edge is the only non-reuse constraint that can bind: in a
 vertex-distinct cycle of length >= 3 no incidence can repeat anywhere
-else.  Each call builds every vertex's sorted (neighbor, kind) steps
-once and shares them among its breadth-first searches, one per
-starting incidence, which keep their parents in a list.  2-cycles come
-from the same searches, which find their return step at the first
-level.
+else.  One orientation of each edge is enough: a shortest cycle that
+contains an arc is found from that arc's start, and one of edges only
+can be walked from either end of any of its edges.  Each start gets
+one breadth-first search that keeps only distances, over per-vertex
+neighbor bitmasks (Python ints); the start-edge ban clears u from its
+first frontier unless an arc v->u exists.  2-cycles come from the same
+searches, at the first level.  The witness is traced once, with
+parents, for the first start of least length in sorted order.
 `girth_bruteforce` is an independent oracle that enumerates vertex
 sequences against the definition literally.
 """
@@ -159,58 +162,68 @@ def girth_bruteforce(g: MixedGraph, max_len: int | None = None) -> GirthResult:
 
 def _shortest_cycle(g: MixedGraph) -> CycleWitness | None:
     """Shortest cycle through any incidence, or None when acyclic.
-    Deterministic: starting steps are scanned in sorted order and BFS
-    visits neighbors in ascending order."""
-    starts = [(ARC, u, v) for u, v in g.arcs]
+    Deterministic: the starts, one per arc (u,v) and one per edge
+    {u,v} with u < v, are scanned in (u, v) order with an arc ahead of
+    an edge, and the witness is traced for the first of least length,
+    visiting neighbors in ascending order."""
+    starts = sorted([(u, v, False) for u, v in g.arcs]
+                    + [(u, v, True) for u, v in g.edges])
+    steps = [0] * g.n  # bit w of steps[x]: x -> w is an arc or an edge
+    for u, v in g.arcs:
+        steps[u] |= 1 << v
     for u, v in g.edges:
-        starts.append((EDGE, u, v))
-        starts.append((EDGE, v, u))
-    starts.sort(key=lambda t: (t[1], t[2], t[0] != ARC))
-    options = [
-        sorted(
-            [(w, ARC) for w in g.out_neighbors[x]]
-            + [(w, EDGE) for w in g.edge_neighbors[x]],
-            key=lambda t: (t[0], t[1] != ARC),
-        )
-        for x in range(g.n)
-    ]
-    best: CycleWitness | None = None
-    for kind0, u, v in starts:
-        limit = g.n if best is None else best.length - 1
+        steps[u] |= 1 << v
+        steps[v] |= 1 << u
+    best = None
+    limit = g.n  # the longest cycle still worth finding
+    for u, v, edge in starts:
         if limit < 2:
             break
-        found = _bfs_path(options, v, u, kind0 == EDGE, limit - 1)
-        if found is None:
-            continue
-        path_vertices, path_steps = found
-        w = CycleWitness((u, *path_vertices), (kind0, *path_steps))
-        if best is None or w.length < best.length:
-            best = w
-    return best
+        target = 1 << u
+        reached = 1 << v
+        frontier = steps[v]
+        if edge and (v, u) not in g.arcs:
+            frontier &= ~target
+        length = 2  # of the cycle that closes at this frontier
+        while frontier and length <= limit:
+            if frontier & target:
+                best, limit = (u, v, edge), length - 1
+                break
+            reached |= frontier
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= steps[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~reached
+            length += 1
+    if best is None:
+        return None
+    u, v, edge = best
+    path_vertices, path_steps = _bfs_path(g, v, u, edge, limit)
+    return CycleWitness((u, *path_vertices), (EDGE if edge else ARC, *path_steps))
 
 
 def _bfs_path(
-    options: list[list[tuple[int, str]]],
-    src: int,
-    dst: int,
-    ban_start_edge: bool,
-    cap: int,
+    g: MixedGraph, src: int, dst: int, ban_start_edge: bool, cap: int
 ) -> tuple[tuple[int, ...], tuple[str, ...]] | None:
-    """Shortest src->dst path of length <= cap over the sorted per-vertex
-    ``(neighbor, kind)`` options of the arc-augmented digraph, never
-    traversing the edge {src, dst} when ban_start_edge; returns
-    (vertices, steps) with vertices starting at src and ending at dst.
+    """Shortest src->dst path of length <= cap in the arc-augmented
+    digraph of g, never traversing the edge {src, dst} when
+    ban_start_edge; returns (vertices, steps) with vertices starting at
+    src and ending at dst.  Each vertex's steps are taken in (neighbor,
+    kind) order, an arc ahead of an edge ("arc" < "edge").
 
     Breadth-first order never steps back into src and stops on reaching
     dst, so the only way to cross the banned edge is src -> dst."""
-    parent = [-1] * len(options)
-    step = [EDGE] * len(options)
+    parent = [-1] * g.n
+    step = [EDGE] * g.n
     parent[src] = src
     frontier = [src]
     for _ in range(cap):
         nxt = []
         for x in frontier:
-            for w, kind in options[x]:
+            for w, kind in sorted([(w, ARC) for w in g.out_neighbors[x]]
+                                  + [(w, EDGE) for w in g.edge_neighbors[x]]):
                 if parent[w] != -1:
                     continue
                 if w == dst:

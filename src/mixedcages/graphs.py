@@ -10,10 +10,11 @@ are representable and left to girth checking to reject.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 Pair = tuple[int, int]
 
@@ -123,33 +124,74 @@ def new_graph(
 ) -> MixedGraph:
     """Build a validated MixedGraph.
 
-    Raises OutOfRangeError for endpoints outside 0..n-1, SelfLoopError
+    Raises GraphError for an order or an endpoint that is not an
+    integer, OutOfRangeError for endpoints outside 0..n-1, SelfLoopError
     for u == v pairs, and DuplicateError when the same edge (in either
-    orientation) or the same arc is listed twice.
+    orientation) or the same arc is listed twice.  numpy integers are
+    stored as ints; a bool or 12.0 is not an integer here.
     """
+    if type(n) is not int:
+        n = _integer(n)
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
     edge_set: set[Pair] = set()
     for u, v in edges:
-        _check_endpoints(u, v, n)
+        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n
+                and u != v):
+            u, v = _endpoints(u, v, n)
         e = _normalize_edge(u, v)
         if e in edge_set:
             raise DuplicateError(f"edge {{{u},{v}}} listed twice")
         edge_set.add(e)
     arc_set: set[Pair] = set()
     for u, v in arcs:
-        _check_endpoints(u, v, n)
+        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n
+                and u != v):
+            u, v = _endpoints(u, v, n)
         if (u, v) in arc_set:
             raise DuplicateError(f"arc ({u},{v}) listed twice")
         arc_set.add((u, v))
     return MixedGraph(n=n, edges=frozenset(edge_set), arcs=frozenset(arc_set))
 
 
-def _check_endpoints(u: int, v: int, n: int) -> None:
+def _endpoints(u: int, v: int, n: int) -> Pair:
+    """new_graph's slow path for a pair: (u, v) as ints, or the error."""
+    if type(u) is not int or type(v) is not int:
+        u, v = _integer(u), _integer(v)
     if not (0 <= u < n and 0 <= v < n):
         raise OutOfRangeError(f"endpoint of ({u},{v}) outside 0..{n - 1}")
     if u == v:
         raise SelfLoopError(f"self-loop at vertex {u}")
+    return u, v
+
+
+def _integer(x: object) -> int:
+    """x as an int when it is an integer other than a bool; GraphError
+    otherwise."""
+    if isinstance(x, bool):
+        raise GraphError(f"{x!r} is a bool, not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphError(f"{x!r} is not an integer") from None
+
+
+def per_graph(compute: Callable) -> Callable:
+    """Keep compute(g) on the graph object g, in its instance dict under
+    compute's name, as ``cached_property`` keeps ``flat_neighbors``: it
+    is computed on the first call for the object and released with it,
+    and an equal graph built apart computes its own.  Threads that race
+    on one graph compute equal facts.  No caller may change one."""
+    name = compute.__name__
+
+    @wraps(compute)
+    def kept(g: MixedGraph):
+        stored = vars(g)
+        if name not in stored:
+            stored[name] = compute(g)
+        return stored[name]
+
+    return kept
 
 
 @dataclass(frozen=True)
@@ -168,8 +210,10 @@ class DegreeProfile:
     regular: tuple[int, int] | None
 
 
+@per_graph
 def degree_profile(g: MixedGraph) -> DegreeProfile:
-    """Compute exact per-vertex degrees and the regularity witness."""
+    """Exact per-vertex degrees and the regularity witness, computed once
+    per graph object."""
     deg = [0] * g.n
     outdeg = [0] * g.n
     indeg = [0] * g.n

@@ -46,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .graphs import MixedGraph, Permutation, apply_permutation, degree_profile
+from .graphs import (
+    MixedGraph, Permutation, apply_permutation, degree_profile, per_graph)
 
 
 class TooLargeError(ValueError):
@@ -108,12 +109,13 @@ def is_isomorphic(
 ) -> tuple[bool, Permutation | None]:
     """Isomorphism test with witness mapping g onto h.
 
-    h's first leaf is read from h's first path (refined on h's first
-    search and kept on h), and g's search stops at the first leaf with
-    that leaf's encoding: g and h are isomorphic exactly when g's
-    search finds one.  A found leaf's labeling, followed by the inverse
-    of h's, maps g onto h: that is the witness.  Conversely, the
-    tree is labeling-invariant, so for any isomorphism phi from g onto
+    Their sorted degree triples must agree.  Then g's search stops at
+    the first leaf with the encoding of h's first leaf: g and h are
+    isomorphic exactly when g's search finds one.  The degree triples,
+    h's first path and its leaf are each kept on their graph object.
+    A found leaf's labeling, followed by the inverse of h's, maps g
+    onto h: that is the witness.  Conversely, the tree is
+    labeling-invariant, so for any isomorphism phi from g onto
     h, phi's preimage of h's first path is a path of g's tree, and it
     ends in a leaf with h's encoding.  Orbit pruning and the jump back
     skip only subtrees that are automorphism images of subtrees already
@@ -121,18 +123,13 @@ def is_isomorphic(
     subtrees held no target leaf, or the search would have stopped
     there.  So g's search finds a target leaf whenever one exists.
     """
-    if g.n != h.n or len(g.edges) != len(h.edges) or len(g.arcs) != len(h.arcs):
+    if _degree_key(g) != _degree_key(h):
         return False, None
-    pg, ph = degree_profile(g), degree_profile(h)
-    if sorted(zip(pg.deg, pg.outdeg, pg.indeg)) != sorted(
-        zip(ph.deg, ph.outdeg, ph.indeg)
-    ):
-        return False, None
-    first = _labeling(_first_path(h).partitions[-1])
-    found = _ir_search(g, until=_encode(h, first).__eq__)
+    target, unlabel = _first_leaf(h)
+    found = _ir_search(g, until=target.__eq__)
     if found is None:
         return False, None
-    return True, Permutation(tuple(first)).inverse() @ found[1]
+    return True, unlabel @ found[1]
 
 
 def automorphism_group(g: MixedGraph) -> AutGroup:
@@ -298,6 +295,14 @@ def _individualize(
     return cells[:i] + [[v], [u for u in cells[i] if u != v]] + cells[i + 1:]
 
 
+@per_graph
+def _degree_key(g: MixedGraph) -> tuple[tuple[int, int, int], ...]:
+    """g's sorted (edge, out, in) degree triples, kept on g; they also
+    fix the order and the numbers of edges and arcs."""
+    p = degree_profile(g)
+    return tuple(sorted(zip(p.deg, p.outdeg, p.indeg)))
+
+
 class _FirstPath(NamedTuple):
     """The first path of a graph's labeling search.
 
@@ -312,31 +317,31 @@ class _FirstPath(NamedTuple):
     levels: tuple[tuple[_Perm, list[int]], ...]
 
 
+@per_graph
 def _first_path(g: MixedGraph) -> _FirstPath:
     """g's first path: from the degree cells down to the first discrete
-    leaf, individualizing the first vertex of each target cell.
+    leaf, individualizing the first vertex of each target cell; kept on
+    g, so an equal graph built apart refines its own."""
+    cells = _refine_cells(g, _degree_cells(g))
+    partitions = [cells]
+    levels: list[tuple[_Perm, list[int]]] = []
+    prefix: _Perm = ()
+    while len(cells) < g.n:
+        cell = _target(cells)
+        levels.append((prefix, cell))
+        prefix += (cell[0],)
+        cells = _refine_cells(
+            g, _individualize(cells, cells.index(cell), cell[0]))
+        partitions.append(cells)
+    return _FirstPath(tuple(partitions), tuple(levels))
 
-    The first call for a graph object refines it and stores it in the
-    object's instance dict, as ``cached_property`` stores
-    ``flat_neighbors``; later calls read it.  So it is released with
-    its graph, and there is no cache to bound: an equal graph built
-    apart refines its own.
-    """
-    stored = vars(g)
-    if "_first_path" not in stored:
-        cells = _refine_cells(g, _degree_cells(g))
-        partitions = [cells]
-        levels: list[tuple[_Perm, list[int]]] = []
-        prefix: _Perm = ()
-        while len(cells) < g.n:
-            cell = _target(cells)
-            levels.append((prefix, cell))
-            prefix += (cell[0],)
-            cells = _refine_cells(
-                g, _individualize(cells, cells.index(cell), cell[0]))
-            partitions.append(cells)
-        stored["_first_path"] = _FirstPath(tuple(partitions), tuple(levels))
-    return stored["_first_path"]
+
+@per_graph
+def _first_leaf(h: MixedGraph) -> tuple[bytes, Permutation]:
+    """The encoding of h's first leaf and the inverse of its labeling,
+    kept on h."""
+    pos = _labeling(_first_path(h).partitions[-1])
+    return _encode(h, pos), Permutation(tuple(pos)).inverse()
 
 
 def _labeling(cells: list[list[int]]) -> list[int]:

@@ -44,6 +44,10 @@ _SEARCH = "mixedcages/search.py"
 _T = "tests/test_search.py::"
 _ISO = "mixedcages/isomorphism.py"
 _I = "tests/test_isomorphism.py::"
+_GRAPHS = "mixedcages/graphs.py"
+_GR = "tests/test_graphs.py::"
+_GIRTH = "mixedcages/girth.py"
+_G = "tests/test_girth.py::"
 
 MUTANTS = (
     # the orderly test leaves its batch applied; the round must undo it
@@ -181,10 +185,58 @@ MUTANTS = (
     # order share it
     Mutant(
         "first-path-keyed-by-order", _ISO,
-        "    stored = vars(g)\n",
-        "    stored = _first_path.__dict__.setdefault(g.n, {})\n",
+        "@per_graph\ndef _first_path(",
+        "@lambda compute: lambda g: compute.__dict__.setdefault(g.n, compute(g))"
+        "\ndef _first_path(",
         (_I + "test_an_equal_graph_object_refines_from_scratch",
          _I + "test_cold_and_warm_searches_agree_on_benchmark_graphs"),
+    ),
+    # every per-graph fact is stored per graph order
+    Mutant(
+        "per-graph-fact-keyed-by-order", _GRAPHS,
+        "        stored = vars(g)\n",
+        "        stored = kept.__dict__.setdefault(g.n, {})\n",
+        (_GR + "test_degree_profile_is_kept_per_graph_object",
+         _I + "test_an_equal_graph_object_refines_from_scratch"),
+    ),
+    # an endpoint that is not an integer passes the range checks
+    Mutant(
+        "endpoints-not-checked-as-integers", _GRAPHS,
+        "        u, v = _integer(u), _integer(v)\n",
+        "        pass\n",
+        (_GR + "test_new_graph_rejects_non_integers",
+         "tests/test_cli.py::test_non_integer_witness_is_io_error"),
+    ),
+    # a graph with constant out-degree and uneven in-degree reads as
+    # regular
+    Mutant(
+        "regularity-ignores-in-degree", _GRAPHS,
+        "            and all(i == z for i in indeg)\n",
+        "",
+        (_GR + "test_degree_profile_needs_equal_in_degrees",),
+    ),
+    # a closed walk through one vertex twice passes as a cycle
+    Mutant(
+        "witness-repeated-vertex-accepted", _GIRTH,
+        "    if len(set(interior)) != len(interior):\n",
+        "    if False:\n",
+        (_G + "test_witness_validation_rejects_repeated_vertex",),
+    ),
+    # the distance scan of an edge start may return along that edge
+    Mutant(
+        "scan-without-start-edge-ban", _GIRTH,
+        "        if edge and (v, u) not in g.arcs:\n",
+        "        if False:\n",
+        (_G + "test_single_edge_has_no_cycle",
+         _G + "test_one_orientation_scan_matches_bruteforce_and_references"),
+    ),
+    # a construction passes with any girth at all
+    Mutant(
+        "verify-accepts-any-girth", "mixedcages/constructions.py",
+        "    if profile.regular != (r, z) or gr.girth != g_target:\n",
+        "    if profile.regular != (r, z) or gr.girth is None:\n",
+        ("tests/test_constructions.py::"
+         "test_verify_parameters_needs_the_exact_girth",),
     ),
 )
 

@@ -600,6 +600,38 @@ def test_corrupt_checkpoint_is_io_error(tmp_path, corrupt):
     assert out == ""
 
 
+def _set_witness_leaf(edit):
+    """A corruption that applies edit to the first witness of the first
+    record that has one."""
+    def corrupt(state, active):
+        edit(next(sk for sk in state["skeletons"] if sk["witnesses"])
+             ["witnesses"][0])
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda w: w.__setitem__("n", 12.0),
+        lambda w: w["edges"][0].__setitem__(0, 3.5),
+        lambda w: w["edges"][0].__setitem__(0, float(w["edges"][0][0])),
+        lambda w: w["arcs"][0].__setitem__(1, float(w["arcs"][0][1])),
+    ],
+    ids=["order-float", "edge-fraction", "edge-float", "arc-float"],
+)
+def test_non_integer_witness_is_io_error(tmp_path, edit):
+    """A witness vertex or order that is a float, even a whole one that
+    equals the right integer, is a corrupt checkpoint (exit 3), not a
+    traceback (exit 1)."""
+    cp = _corrupted_checkpoint(tmp_path, _set_witness_leaf(edit))
+    code, out, err = cli(
+        ["search", "--r", "3", "--g", "4", "--n", "12", "--enumerate",
+         "--checkpoint", str(cp)]
+    )
+    assert (code, out) == (3, "")
+    assert "corrupt checkpoint" in err
+
+
 def test_version_2_checkpoint_is_io_error(tmp_path):
     """Version 2 kept the statistics, the witnesses and the schedule
     position at the top level; it is refused, not migrated."""

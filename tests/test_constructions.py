@@ -47,6 +47,13 @@ def test_literal_rules_fail_the_gate():
     assert exc.value.profile.regular is None
 
 
+@pytest.mark.parametrize("g_target", [3, 5, 7])
+def test_verify_parameters_needs_the_exact_girth(g30, g_target):
+    with pytest.raises(VerificationFailedError) as exc:
+        verify_parameters(g30, r=3, z=1, g_target=g_target)
+    assert exc.value.girth_result.girth == 6
+
+
 def test_completion_search_finds_unique_repair():
     assert find_completion() == [("row0_chord", 5)]
 

@@ -4,7 +4,7 @@ from collections import deque
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mixedcages import (
     CapExceededError,
@@ -113,6 +113,14 @@ def test_witness_validation_rejects_junk(g30):
         )
 
 
+def test_witness_validation_rejects_repeated_vertex():
+    # two triangles through vertex 0, walked as one closed walk: no
+    # incidence repeats, but vertex 0 does
+    g = new_graph(5, edges=[(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+    with pytest.raises(GraphError, match="repeats a vertex"):
+        validate_witness(g, CycleWitness((0, 1, 2, 0, 3, 4, 0), ("edge",) * 6))
+
+
 def test_adding_incidences_never_increases_girth():
     rng = random.Random(17)
     for _ in range(60):
@@ -143,14 +151,17 @@ def test_girth_is_permutation_invariant():
 
 # ---------------------------------------------------------------------------
 # reference oracle: the shortest-cycle search as it was before the
-# per-vertex step options were built once per call
+# per-vertex step options were built once per call, with one traced
+# breadth-first search per starting incidence, and with both
+# orientations of each edge unless one_orientation
 
 
-def _reference_shortest_cycle(g):
+def _reference_shortest_cycle(g, one_orientation=False):
     starts = [("arc", u, v) for u, v in g.arcs]
     for u, v in g.edges:
         starts.append(("edge", u, v))
-        starts.append(("edge", v, u))
+        if not one_orientation:
+            starts.append(("edge", v, u))
     starts = sorted(starts, key=lambda t: (t[1], t[2], t[0] != "arc"))
     best = None
     for kind0, u, v in starts:
@@ -229,3 +240,35 @@ def test_shortest_cycle_matches_reference(g):
     two = _reference_shortest_two_cycle(g)
     if two is not None:
         assert (fast.girth, fast.witness) == (2, two)
+
+
+@st.composite
+def graphs_with_two_cycles(draw):
+    """Mixed graphs on 2..9 vertices plus antiparallel arcs and arcs that
+    share a pair with an edge, in either direction."""
+    g = draw(mixed_graphs(max_n=9).filter(lambda g: g.n >= 2))
+    arcs = set(g.arcs)
+    for u, v in draw(st.lists(st.sampled_from(sorted(g.arcs)), unique=True)
+                     if g.arcs else st.just([])):
+        arcs.add((v, u))
+    for u, v in draw(st.lists(st.sampled_from(sorted(g.edges)), unique=True)
+                     if g.edges else st.just([])):
+        arcs.add((u, v) if draw(st.booleans()) else (v, u))
+    return new_graph(g.n, g.edges, arcs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_two_cycles())
+def test_one_orientation_scan_matches_bruteforce_and_references(g):
+    """The girth is brute force's, and the witness is the one that a
+    traced search per starting incidence finds with one orientation of
+    each edge, and with both: the first start of least length never
+    walks an edge from its larger end, since the cycle it finds leaves
+    its least vertex by a start that sorts earlier."""
+    res = girth(g)
+    assert res.girth == girth_bruteforce(g).girth
+    assert res.witness == _reference_shortest_cycle(g, one_orientation=True)
+    assert res.witness == _reference_shortest_cycle(g)
+    if res.witness is not None:
+        validate_witness(g, res.witness)
+        assert res.witness.length == res.girth

@@ -1,11 +1,16 @@
+import gc
 import random
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mixedcages import (
     DuplicateError,
+    GraphError,
     LengthMismatchError,
+    MixedGraph,
     OutOfRangeError,
     Permutation,
     SelfLoopError,
@@ -49,6 +54,34 @@ def test_new_graph_rejects_duplicates():
     new_graph(2, arcs=[(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize(
+    "n, edges, arcs",
+    [
+        (12.0, [], []),
+        ("3", [], []),
+        (True, [], []),
+        (4, [(1.0, 2)], []),
+        (4, [(0, 3.5)], []),
+        (4, [], [(0, 1.0)]),
+        (4, [(True, 2)], []),
+        (4, [], [(0, "1")]),
+    ],
+    ids=["order-float", "order-string", "order-bool", "edge-float",
+         "edge-fraction", "arc-float", "edge-bool", "arc-string"],
+)
+def test_new_graph_rejects_non_integers(n, edges, arcs):
+    with pytest.raises(GraphError, match="integer"):
+        new_graph(n, edges, arcs)
+
+
+def test_new_graph_takes_numpy_integers_as_ints():
+    g = new_graph(np.int64(3), edges=[(np.int32(0), np.int64(1))],
+                  arcs=[(np.uint8(1), 2)])
+    assert g == new_graph(3, edges=[(0, 1)], arcs=[(1, 2)])
+    assert type(g.n) is int
+    assert {type(x) for pair in g.edges | g.arcs for x in pair} == {int}
+
+
 def test_edge_and_arc_may_coexist():
     g = new_graph(2, edges=[(0, 1)], arcs=[(0, 1)])
     assert g.has_edge(1, 0) and g.has_arc(0, 1) and not g.has_arc(1, 0)
@@ -66,6 +99,31 @@ def test_degree_profile_path_not_regular():
     p = degree_profile(new_graph(3, edges=[(0, 1)]))
     assert p.deg == (1, 1, 0)
     assert p.regular is None
+
+
+def test_degree_profile_needs_equal_in_degrees():
+    # every out-degree is 1, but vertex 1 has in-degree 2 and vertex 0 none
+    p = degree_profile(new_graph(3, arcs=[(0, 1), (1, 2), (2, 1)]))
+    assert p.outdeg == (1, 1, 1) and p.indeg == (0, 2, 1)
+    assert p.regular is None
+
+
+def test_degree_profile_is_kept_per_graph_object():
+    """The profile is computed once per graph object and kept on it: an
+    equal graph built apart, or another graph of the same order, gets
+    its own, and the graph is freed with its profile."""
+    g = new_graph(3, arcs=[(0, 1), (1, 2), (2, 0)])
+    p = degree_profile(g)
+    assert degree_profile(g) is p
+    twin = MixedGraph(g.n, g.edges, g.arcs)
+    assert "degree_profile" not in vars(twin)
+    assert degree_profile(twin) == p and degree_profile(twin) is not p
+    other = new_graph(3, edges=[(0, 1)])
+    assert degree_profile(other).regular is None and p.regular == (0, 1)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_degree_profile_g30(g30):

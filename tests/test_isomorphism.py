@@ -18,6 +18,7 @@ from mixedcages import (
     apply_permutation,
     automorphism_group,
     canonical_form,
+    degree_profile,
     group_fingerprint,
     is_isomorphic,
     new_graph,
@@ -580,17 +581,19 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _answers(g, *hs):
-    """g's canonical form and group, and its isomorphism test against
-    each of hs."""
-    return (canonical_form(g), automorphism_group(g),
+    """g's canonical form, group and degree profile, and its isomorphism
+    test against each of hs."""
+    return (canonical_form(g), automorphism_group(g), degree_profile(g),
             *(is_isomorphic(g, h) for h in hs))
 
 
 def _assert_cold_and_warm_agree(g, *hs):
-    """Each answer on fresh copies, which refine their first paths, is
-    the answer on g and hs twice: the first round stores g's and hs'
-    first paths and the second only reads them.  Returns the answers."""
+    """Each answer on fresh copies, which compute their facts (first
+    path, degree profile and key, first leaf), is the answer on g and hs
+    twice: the first round stores g's and hs' facts and the second only
+    reads them.  Returns the answers."""
     cold = (canonical_form(_fresh(g)), automorphism_group(_fresh(g)),
+            degree_profile(_fresh(g)),
             *(is_isomorphic(_fresh(g), _fresh(h)) for h in hs))
     for _ in range(2):
         assert _answers(g, *hs) == cold
@@ -611,7 +614,7 @@ def test_cold_and_warm_searches_agree_on_benchmark_graphs():
         base = graphs[name]
         partners = [graphs[e["partner"]]] if e["partner"] else []
         for g in [_fresh(base)] + [_relabeled(base, rng) for _ in range(3)]:
-            _, group, (same, witness), *others = _assert_cold_and_warm_agree(
+            _, group, _, (same, witness), *others = _assert_cold_and_warm_agree(
                 g, base, *partners)
             assert group.order == e["aut_order"], name
             assert same and apply_permutation(g, witness) == base, name
@@ -687,11 +690,20 @@ def test_an_equal_graph_object_refines_from_scratch():
     assert len(cold) == len(warm) + len(isomorphism._first_path(g).partitions)
     assert isomorphism._first_path(h) == isomorphism._first_path(g)
     assert isomorphism._first_path(h) is not isomorphism._first_path(g)
+    # so does every other fact that is_isomorphic keeps
+    facts = (degree_profile, isomorphism._degree_key, isomorphism._first_leaf)
+    assert is_isomorphic(g, g)[0]
+    assert not {fact.__name__ for fact in facts} & set(vars(h))
+    assert is_isomorphic(h, h) == is_isomorphic(g, g)
+    for fact in facts:
+        assert fact(h) == fact(g) and fact(h) is not fact(g)
 
 
 def test_first_path_is_released_with_its_graph():
     g = build_g30()
     assert is_isomorphic(g, g)[0] and automorphism_group(g).order == 20
+    assert {"_first_path", "degree_profile", "_degree_key",
+            "_first_leaf"} <= set(vars(g))
     ref = weakref.ref(g)
     del g
     gc.collect()
