@@ -19,7 +19,7 @@ and re-verifies the defining parameters on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .girth import GirthResult, girth
 from .graphs import (
@@ -61,8 +61,7 @@ class VerificationFailedError(ValueError):
         self.girth_result = girth_result
 
 
-@dataclass(frozen=True)
-class ThreeRowRecipe:
+class ThreeRowRecipe(NamedTuple):
     """Parameterized three-row construction.
 
     ``m`` is the row length.  Every row carries a directed m-cycle, and

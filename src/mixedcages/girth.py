@@ -28,7 +28,7 @@ sequences against the definition literally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import GraphError, MixedGraph, Pair, _normalize_edge
 
@@ -40,8 +40,7 @@ class CapExceededError(ValueError):
     """Brute-force search exhausted its length cap without a verdict."""
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A closed vertex walk certifying a cycle.
 
     ``vertices`` is v_0..v_k with v_0 == v_k; ``steps[i]`` tags the
@@ -56,8 +55,7 @@ class CycleWitness:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class GirthResult:
+class GirthResult(NamedTuple):
     """Girth value plus a witness; girth None means acyclic."""
 
     girth: int | None

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 Pair = tuple[int, int]
 
@@ -194,8 +194,7 @@ def per_graph(compute: Callable) -> Callable:
     return kept
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-vertex degree data for a mixed graph.
 
     ``deg`` counts incident edges, ``outdeg``/``indeg`` count arcs from

@@ -43,7 +43,6 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .graphs import (
@@ -54,8 +53,7 @@ class TooLargeError(ValueError):
     """Group enumeration exceeded its cap."""
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Relabeling-invariant encoding plus a permutation achieving it.
 
     Two mixed graphs are isomorphic iff their encodings are equal.
@@ -67,8 +65,7 @@ class CanonicalForm:
     permutation: Permutation
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(NamedTuple):
     """Automorphism group: generators and the first-path orbit product.
 
     The generators generate the group but need not be a minimal set:
@@ -88,8 +85,7 @@ class AutGroup:
         ]
 
 
-@dataclass(frozen=True)
-class GroupFingerprint:
+class GroupFingerprint(NamedTuple):
     """Coarse structure report: order, commutativity, max element order."""
 
     order: int

@@ -88,6 +88,7 @@ import time
 from dataclasses import dataclass, fields
 from itertools import accumulate, permutations, product
 from math import comb as _comb, factorial, prod
+from typing import NamedTuple
 
 import numpy as _np
 
@@ -233,8 +234,7 @@ class SearchStats:
             self.canonicity_prunes += 1
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of search_order.
 
     ``status`` is "found", "exhausted", or "budget_exceeded"; in the
@@ -249,8 +249,7 @@ class SearchOutcome:
     checkpoint: dict | None = None
 
 
-@dataclass(frozen=True)
-class CageNumber:
+class CageNumber(NamedTuple):
     """A determined minimum order, with provenance.
 
     "bound-matched" means a witness exists at the closed-form lower
@@ -267,8 +266,7 @@ class CageNumber:
     exhausted_below: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ArcSkeleton:
+class ArcSkeleton(NamedTuple):
     """Canonical arc layout for one partition: consecutive blocks, each
     inducing a directed cycle."""
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -62,6 +63,28 @@ def mixed_graphs(draw, max_n: int = 10) -> MixedGraph:
         edges = draw(st.lists(st.sampled_from(edge_pairs), unique=True)) if edge_pairs else []
     arcs = draw(st.lists(st.sampled_from(arc_pairs), unique=True)) if arc_pairs else []
     return new_graph(n, edges, arcs)
+
+
+def check_result_record(record, text: str, hashable: bool = True) -> None:
+    """The contract of an immutable result record: its fields read by
+    name, none can be assigned, an equal record hashes equal (a record
+    holding a list is unhashable), a pickle round trip (as a worker
+    pool makes) returns an equal record of the same type, and the repr
+    names every field, ``text``."""
+    assert repr(record) == text
+    twin = type(record)(**{name: getattr(record, name)
+                           for name in record._fields})
+    assert twin == record
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
+    if hashable:
+        assert hash(twin) == hash(back) == hash(record)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 @pytest.fixture(scope="session")

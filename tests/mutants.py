@@ -86,6 +86,15 @@ MUTANTS = (
         "        if (started != (exhausted or bool(path))\n",
         (_T + "test_malformed_checkpoint_rejected[<lambda>15]",),
     ),
+    # a checkpoint witness of a larger order reaches the class test,
+    # which indexes the skeleton group by its vertices
+    Mutant(
+        "witness-order-not-checked", _SEARCH,
+        "            if (w.n != spec.n"
+        " or w.arcs != frozenset(self.skeleton.arcs)\n",
+        "            if (w.arcs != frozenset(self.skeleton.arcs)\n",
+        (_T + "test_edited_checkpoint_resumes_soundly_or_is_refused",),
+    ),
     # a visit granted less than its in-order quota is not visited on
     Mutant(
         "no-continuation", _SEARCH,

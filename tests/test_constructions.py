@@ -26,6 +26,8 @@ from mixedcages.constructions import (
 )
 from mixedcages.graphs import MixedGraph, Pair, new_graph
 
+from conftest import check_result_record
+
 
 def test_build_g30_parameters(g30):
     assert g30.n == 30
@@ -243,3 +245,10 @@ def test_completion_candidates_match_reference():
     ):
         new = _outcome(_build, ROW_LENGTH, [*literal, (0, row, off)])
         assert new == _outcome(_with_extra_family, base, fam, off), (fam, off)
+
+
+def test_recipe_is_an_immutable_tuple():
+    check_result_record(ThreeRowRecipe(chord_offset=None), (
+        f"ThreeRowRecipe(m={ROW_LENGTH}, cross_offset=5, "
+        "upper_offsets=(2, -2), chord_offset=None)"))
+    assert ThreeRowRecipe().chord_offset == CHORD_OFFSET

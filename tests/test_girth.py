@@ -18,7 +18,7 @@ from mixedcages import (
 )
 from mixedcages.graphs import GraphError
 
-from conftest import mixed_graphs, random_mixed_graph
+from conftest import check_result_record, mixed_graphs, random_mixed_graph
 
 # `mixedcages.girth` as a package attribute is the function
 girth_module = importlib.import_module("mixedcages.girth")
@@ -272,3 +272,13 @@ def test_one_orientation_scan_matches_bruteforce_and_references(g):
     if res.witness is not None:
         validate_witness(g, res.witness)
         assert res.witness.length == res.girth
+
+
+def test_girth_records_are_immutable_tuples():
+    res = girth(new_graph(2, [], [(0, 1), (1, 0)]))
+    witness = "CycleWitness(vertices=(0, 1, 0), steps=('arc', 'arc'))"
+    check_result_record(res.witness, witness)
+    assert res.witness.length == 2
+    check_result_record(res, f"GirthResult(girth=2, witness={witness})")
+    check_result_record(girth(new_graph(2, [(0, 1)], [])),
+                        "GirthResult(girth=None, witness=None)")

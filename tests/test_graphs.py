@@ -20,7 +20,7 @@ from mixedcages import (
 )
 from mixedcages.constructions import rotation_automorphism
 
-from conftest import random_mixed_graph
+from conftest import check_result_record, random_mixed_graph
 
 
 def test_new_graph_smallest_cases():
@@ -187,3 +187,9 @@ def test_permutation_inverse_and_order():
     assert p.cycle_notation() == "(0 1 2)(3 4)"
     assert Permutation.identity(3).cycle_notation() == "()"
 
+
+def test_degree_profile_is_an_immutable_tuple():
+    check_result_record(
+        degree_profile(new_graph(2, [], [(0, 1), (1, 0)])),
+        "DegreeProfile(deg=(0, 0), outdeg=(1, 1), indeg=(1, 1), "
+        "regular=(0, 1))")

@@ -33,7 +33,7 @@ from mixedcages.constructions import (
     row_transposition_automorphism,
 )
 
-from conftest import mixed_graphs, random_mixed_graph
+from conftest import check_result_record, mixed_graphs, random_mixed_graph
 
 
 def brute_force_automorphism_count(g):
@@ -708,3 +708,17 @@ def test_first_path_is_released_with_its_graph():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_isomorphism_records_are_immutable_tuples():
+    tri = new_graph(3, [], [(0, 1), (1, 2), (2, 0)])
+    check_result_record(
+        canonical_form(tri),
+        r"CanonicalForm(encoding=b'\x00\x00\x02\x02\x00\x00\x00\x02\x00', "
+        "permutation=Permutation(image=(0, 2, 1)))")
+    group = automorphism_group(tri)
+    check_result_record(group, "AutGroup(n=3, generators=("
+                               "Permutation(image=(2, 0, 1)),), order=3)")
+    assert len(group.elements()) == 3
+    check_result_record(group_fingerprint(group), "GroupFingerprint(order=3, "
+                        "abelian=True, max_element_order=3, name='Z3')")

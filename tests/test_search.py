@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import pickle
 import types
 from math import comb
@@ -39,6 +40,8 @@ from mixedcages.search import (
     _orbit_keys,
     _skeleton_autos,
 )
+
+from conftest import check_result_record
 
 
 def partitions_oracle(n, min_part):
@@ -872,6 +875,88 @@ def test_checkpoint_replay_either_resumes_or_rejects():
     assert outcomes == {"resumed", "rejected"}
 
 
+# node counts inside the (12,), (8,4) and (6,6) skeletons of the (3,1,4)@12
+# focus tree, and twice inside (4,4,4)
+FUZZ_CUTS = (300, 1000, 2500, 4000, 5500)
+_FOCUS_12 = SearchSpec(r=3, g=4, n=12, mode="enumerate", branch_policy="focus")
+_LEAF_VALUES = (0, -1, 7, True, None, "x", 1.5, [], {})
+
+
+@functools.lru_cache(maxsize=None)
+def _focus_cut(nodes):
+    """The focus checkpoint cut at ``nodes``, as JSON text, so that each
+    trial edits a fresh copy."""
+    out = search_order(dataclasses.replace(_FOCUS_12, node_budget=nodes))
+    assert out.status == "budget_exceeded"
+    return json.dumps(out.checkpoint)
+
+
+@functools.lru_cache(maxsize=None)
+def _focus_classes():
+    return frozenset(canonical_form(w).encoding
+                     for w in _search(_FOCUS_12, 1).witnesses)
+
+
+def _leaves(node, path=()):
+    """The key paths to the scalars of a JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items
+                for leaf in _leaves(child, path + (key,))]
+    return [path]
+
+
+def _at(node, path):
+    return functools.reduce(operator.getitem, path, node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_checkpoint_resumes_soundly_or_is_refused(data):
+    """One edit to the skeleton records of a cut focus checkpoint: a
+    scalar set to another JSON value, a witness copied into a record, an
+    integer moved by one, or a witness grown to order 13 by moving one
+    edge end onto the new vertex, which only the order check refuses
+    before the class test indexes by vertex.  The resume either refuses
+    the checkpoint with a ValueError (CheckpointError is one) or returns
+    verified witnesses, (3,1)-regular of girth 4, of distinct classes
+    among the 29.  It need not return all 29: a record of an unfinished
+    skeleton marked exhausted reads as finished, since checkpoints are
+    not authenticated."""
+    cp = json.loads(_focus_cut(data.draw(st.sampled_from(FUZZ_CUTS))))
+    records = cp["skeletons"]
+    edit = data.draw(st.sampled_from(("leaf", "copy", "shift", "grow")))
+    if edit in ("copy", "grow"):
+        witness = data.draw(st.sampled_from(
+            [w for sk in records for w in sk["witnesses"]]))
+    if edit == "copy":
+        data.draw(st.sampled_from(records))["witnesses"].append(witness)
+    elif edit == "grow":
+        edge = data.draw(st.sampled_from(witness["edges"]))
+        edge[data.draw(st.sampled_from((0, 1)))] = witness["n"]
+        witness["n"] += 1
+    else:
+        leaves = _leaves(records)
+        if edit == "shift":
+            leaves = [path for path in leaves
+                      if type(_at(records, path)) is int]
+        *head, last = data.draw(st.sampled_from(leaves))
+        parent = _at(records, head)
+        parent[last] = (data.draw(st.sampled_from(_LEAF_VALUES))
+                        if edit == "leaf"
+                        else parent[last] + data.draw(st.sampled_from((-1, 1))))
+    try:
+        out = search_order(_FOCUS_12, checkpoint=cp)
+    except ValueError:
+        return
+    encodings = [canonical_form(w).encoding for w in out.witnesses]
+    assert len(set(encodings)) == len(encodings)
+    assert set(encodings) <= _focus_classes()
+    for w in out.witnesses:
+        assert degree_profile(w).regular == (3, 1)
+        assert girth(w).girth == 4
+
+
 # -- batched capped distances against bounded matrix powers
 
 
@@ -1656,3 +1741,17 @@ def test_unpickled_search_visits_like_the_original(kwargs):
         assert copy.stats == run.stats
         assert copy.edges == run.edges
         assert copy.to_state() == run.to_state()
+
+
+def test_search_records_are_immutable_tuples():
+    check_result_record(next(arc_skeletons(4, 2)), (
+        "ArcSkeleton(parts=(4,), arcs=((0, 1), (1, 2), (2, 3), (3, 0)))"))
+    check_result_record(determine_cage_number(3, 3, 6), (
+        "CageNumber(r=3, z=1, g=3, value=6, provenance='bound-matched', "
+        "witness=MixedGraph(n=6, edges=9, arcs=6), exhausted_below=())"))
+    # a record that holds its witness list is unhashable
+    check_result_record(
+        search_order(SearchSpec(r=3, g=6, n=29, mode="decide")),
+        "SearchOutcome(status='exhausted', witnesses=[], stats=SearchStats("
+        "nodes=0, girth_prunes=0, canonicity_prunes=0, infeasible_prunes=0),"
+        " checkpoint=None)", hashable=False)
