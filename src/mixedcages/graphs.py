@@ -300,7 +300,24 @@ class Permutation:
 
     def order(self) -> int:
         """Smallest k >= 1 with p^k = identity."""
-        return lcm(*map(len, self.cycles()))
+        return image_order(self.image)
+
+
+def image_order(image: tuple[int, ...]) -> int:
+    """Order of the permutation with this image array: the least common
+    multiple of its cycle lengths."""
+    order = 1
+    seen = bytearray(len(image))
+    for start in range(len(image)):
+        length = 0
+        v = start
+        while not seen[v]:
+            seen[v] = 1
+            v = image[v]
+            length += 1
+        if length > 1:
+            order = lcm(order, length)
+    return order
 
 
 def apply_permutation(g: MixedGraph, p: Permutation) -> MixedGraph:

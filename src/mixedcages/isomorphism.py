@@ -33,12 +33,14 @@ path (McKay, "Practical graph isomorphism", Congr. Numer. 30, 1981).
 The group order is the product, over the first path's levels, of that
 vertex's orbit size in its cell under the discovered automorphisms that
 fix the level's prefix; the ones that join two orbits at some level are
-the generators.  An isomorphism test labels neither graph canonically:
-it takes the first leaf of h's first path and searches g's tree for a
-leaf with that encoding, stopping at the first one (McKay 1981), so
-g's search is exhausted only when the two are not isomorphic.  Plain
-closure enumeration serves small groups and tests as an independent
-check.
+the generators.  ``automorphism_group`` keeps every automorphism its
+search discovered on the graph object, and every later labeling search
+of that object starts its orbit pruning from them.  An isomorphism
+test labels neither graph canonically: it takes the first leaf of h's
+first path and searches g's tree for a leaf with that encoding,
+stopping at the first one (McKay 1981), so g's search is exhausted
+only when the two are not isomorphic.  Plain closure enumeration
+serves small groups and tests as an independent check.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .graphs import (
-    MixedGraph, Permutation, apply_permutation, degree_profile, per_graph)
+    MixedGraph, Permutation, apply_permutation, degree_profile, image_order,
+    per_graph)
 
 
 class TooLargeError(ValueError):
@@ -96,7 +99,7 @@ class GroupFingerprint(NamedTuple):
 
 def canonical_form(g: MixedGraph) -> CanonicalForm:
     """Canonical encoding; equal across all relabelings of the same graph."""
-    enc, perm, _ = _ir_search(g)
+    enc, perm, _ = _ir_search(g, seeds=_kept_automorphisms(g))
     return CanonicalForm(enc, perm)
 
 
@@ -122,7 +125,7 @@ def is_isomorphic(
     if _degree_key(g) != _degree_key(h):
         return False, None
     target, unlabel = _first_leaf(h)
-    found = _ir_search(g, until=target.__eq__)
+    found = _ir_search(g, until=target.__eq__, seeds=_kept_automorphisms(g))
     if found is None:
         return False, None
     return True, unlabel @ found[1]
@@ -140,20 +143,28 @@ def automorphism_group(g: MixedGraph) -> AutGroup:
     leaf's (in its subtree only such a leaf jumps, and pruning skips
     images of subtrees explored without one), and the automorphism
     recorded there, before the jump back to level i, fixes p_i; so
-    orbit-stabilizer applies down to the discrete leaf.  The generators are the discovered automorphisms that, taken
-    in sorted order, join two orbits at some level.  They give the same
-    orbits at every level, so they generate the group; each is
-    re-verified against the graph.  A generator is kept when it joins
+    orbit-stabilizer applies down to the discrete leaf.  The generators
+    are the discovered automorphisms that, taken in sorted order, join
+    two orbits at some level.  They give the same orbits at every
+    level, so they generate the group; each is re-verified against the
+    graph by relabeling it whole.  A generator is kept when it joins
     two orbits at its level even if the earlier ones already produce
     it, so the set need not be minimal (see AutGroup).
+
+    Its search never seeds, since the generators depend on the order in
+    which automorphisms are discovered, and it keeps them all on g (see
+    ``_kept_automorphisms``).
     """
     _, _, autos = _ir_search(g)
     autos.sort()
+    vars(g).setdefault(_KEPT, tuple(autos))
     order = 1
     joiners: set[_Perm] = set()
     for prefix, cell in _first_path(g).levels:
-        orbits = _PrefixOrbits(g.n, autos, prefix)
-        order *= sum(orbits.find(v) == orbits.find(cell[0]) for v in cell)
+        orbits = _PrefixOrbits(g.n, prefix)
+        orbits.absorb(autos)
+        orbit = orbits.orbit
+        order *= sum(orbit[v] == orbit[cell[0]] for v in cell)
         joiners.update(orbits.joined)
     gens = tuple(map(Permutation, sorted(joiners)))
     bad = [p.image for p in gens if apply_permutation(g, p) != g]
@@ -187,9 +198,7 @@ def group_fingerprint(group: AutGroup, cap: int = 1000) -> GroupFingerprint:
             _compose(a, e) == _compose(e, a) for a in gens for e in elements
         ):
             raise RuntimeError("commuting generators gave a non-abelian group")
-    max_order = max(
-        (Permutation(e).order() for e in elements), default=1
-    )
+    max_order = max(map(image_order, elements), default=1)
     name = None
     if abelian and max_order == group.order:
         name = f"Z{group.order}"
@@ -340,6 +349,19 @@ def _first_leaf(h: MixedGraph) -> tuple[bytes, Permutation]:
     return _encode(h, pos), Permutation(tuple(pos)).inverse()
 
 
+_KEPT = "_automorphisms"
+
+
+def _kept_automorphisms(g: MixedGraph) -> tuple[_Perm, ...]:
+    """The automorphisms that ``automorphism_group(g)``'s search
+    discovered, sorted; none before it ran on this object.  They sit in
+    g's ``per_graph`` home under ``_KEPT``, so they are released with g
+    and an equal graph built apart holds none of them.  A later search
+    of g starts its orbit pruning from them; nothing searches to get
+    them."""
+    return vars(g).get(_KEPT, ())
+
+
 def _labeling(cells: list[list[int]]) -> list[int]:
     """The labeling of a discrete leaf: each vertex's cell index."""
     pos = [0] * len(cells)
@@ -361,36 +383,56 @@ def _encode(g: MixedGraph, pos: list[int]) -> bytes:
     return bytes(buf)
 
 
+def _is_automorphism(g: MixedGraph, phi: _Perm) -> bool:
+    """Whether phi maps every edge of g onto an edge and every arc onto
+    an arc; phi is a bijection, so it then maps g onto itself."""
+    edges, arcs = g.edges, g.arcs
+    return all((phi[u], phi[v]) in arcs for u, v in arcs) and all(
+        (phi[u], phi[v]) in edges or (phi[v], phi[u]) in edges
+        for u, v in edges)
+
+
 class _PrefixOrbits:
-    """Union-find of the orbits of the automorphisms in autos that fix
-    prefix; ``joined`` lists the ones among them that joined two
-    orbits, in the order of autos."""
+    """The orbits of the absorbed automorphisms that fix prefix, as each
+    vertex's orbit label, the least vertex of its orbit; ``joined``
+    lists the ones among them that joined two orbits, in the order
+    absorbed."""
 
-    def __init__(self, n: int, autos: list[_Perm], prefix: _Perm) -> None:
-        self.parent = list(range(n))
-        self.joined = [
-            phi for phi in autos
-            if all(phi[x] == x for x in prefix) and self._absorb(phi)
-        ]
+    def __init__(self, n: int, prefix: _Perm) -> None:
+        self.orbit = list(range(n))
+        self.prefix = prefix
+        self.joined: list[_Perm] = []
+        self.absorbed = 0
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    def absorb(self, autos: list[_Perm]) -> None:
+        """Absorb the automorphisms appended to autos since the last
+        call (all of them on the first)."""
+        prefix = self.prefix
+        for phi in autos[self.absorbed:]:
+            if all(phi[x] == x for x in prefix) and self._absorb(phi):
+                self.joined.append(phi)
+        self.absorbed = len(autos)
 
     def _absorb(self, phi: _Perm) -> bool:
+        """Join the orbits of x and phi(x) for every x; whether any two
+        were apart."""
+        orbit = self.orbit
         joined = False
         for x, y in enumerate(phi):
-            rx, ry = self.find(x), self.find(y)
-            if rx != ry:
-                self.parent[max(rx, ry)] = min(rx, ry)
+            a, b = orbit[x], orbit[y]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                orbit = [a if o == b else o for o in orbit]
                 joined = True
+        self.orbit = orbit
         return joined
 
 
 def _ir_search(
-    g: MixedGraph, until: Callable[[bytes], bool] | None = None
+    g: MixedGraph,
+    until: Callable[[bytes], bool] | None = None,
+    seeds: tuple[_Perm, ...] = (),
 ) -> tuple[bytes, Permutation, list[_Perm]] | None:
     """Backtracking search; returns the canonical encoding, one canonical
     labeling, and all automorphisms discovered from equal-encoding
@@ -405,6 +447,9 @@ def _ir_search(
     vertex of their target cell reads its cells from it, and only the
     nodes off it refine.
 
+    ``seeds`` are automorphisms of g known before the search (those
+    ``automorphism_group`` kept); the orbit pruning starts from them.
+
     Branch pruning: two candidate vertices of a target cell lead to
     interchangeable subtrees whenever a known automorphism that fixes
     every previously individualized vertex maps one to the other, so
@@ -418,13 +463,18 @@ def _ir_search(
     k goes on with its next vertex.  The subtree left behind is that
     automorphism's preimage of the first path's explored subtree at
     depth k + 1, so it holds no new encoding.
+
+    Both skip only automorphic images of subtrees that come earlier in
+    the unpruned tree, so the first leaf in that order with a given
+    encoding is never skipped, whatever the known automorphisms: seeds
+    change which nodes are visited, not the leaf that is returned.
     """
     n = g.n
     first = _first_path(g)
     # the least leaf so far, or with until the leaf that met it
     best: list[tuple[bytes, Permutation]] = []
     seen: dict[bytes, tuple[int, ...]] = {}
-    autos: list[_Perm] = []
+    autos: list[_Perm] = list(seeds)
 
     def leaf(cells: list[list[int]], prefix: tuple[int, ...]) -> int:
         """Record the leaf; return the depth to resume at (-1 to stop)."""
@@ -443,7 +493,7 @@ def _ir_search(
             return depth
         # equal encodings: inv(seen[enc]) . perm fixes g; record it
         phi = _compose(_invert(seen[enc]), perm)
-        if apply_permutation(g, Permutation(phi)) != g:
+        if not _is_automorphism(g, phi):
             return depth
         autos.append(phi)
         # seen keeps insertion order: its first key is the first leaf's
@@ -464,14 +514,12 @@ def _ir_search(
         cell = _target(cells)
         i = cells.index(cell)
         tried: list[int] = []
-        autos_seen = -1
-        uf = None
+        orbits = _PrefixOrbits(n, prefix)
         for v in cell:
             if tried:
-                if len(autos) != autos_seen:
-                    uf = _PrefixOrbits(n, autos, prefix)
-                    autos_seen = len(autos)
-                if any(uf.find(v) == uf.find(u) for u in tried):
+                orbits.absorb(autos)
+                orbit = orbits.orbit
+                if any(orbit[v] == orbit[u] for u in tried):
                     continue
             tried.append(v)
             on = on_path and v == cell[0]
@@ -498,7 +546,7 @@ _Perm = tuple[int, ...]
 
 def _compose(p: _Perm, q: _Perm) -> _Perm:
     """(p . q)(x) = p(q(x))."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def _invert(p: _Perm) -> _Perm:

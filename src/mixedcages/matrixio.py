@@ -104,17 +104,20 @@ def read_adjacency_matrix(
     return new_graph(n, edges, arcs)
 
 
+_BIT_VALUES = {"0": 0, "1": 1}
+_BITS = frozenset(_BIT_VALUES)
+
+
 def _parse_row(line: str, idx: int) -> list[int]:
-    tokens = line.split() if any(c.isspace() for c in line) else list(line)
-    row = []
-    for tok in tokens:
-        if tok == "0":
-            row.append(0)
-        elif tok == "1":
-            row.append(1)
-        else:
-            raise BadTokenError(f"bad token {tok!r} in row {idx + 1}")
-    return row
+    """The entries of one stripped row: its whitespace-separated tokens,
+    or its characters when it holds no whitespace."""
+    tokens = line.split()
+    if len(tokens) == 1:
+        tokens = list(line)
+    if not _BITS.issuperset(tokens):
+        bad = next(tok for tok in tokens if tok not in _BITS)
+        raise BadTokenError(f"bad token {bad!r} in row {idx + 1}")
+    return list(map(_BIT_VALUES.__getitem__, tokens))
 
 
 def write_adjacency_matrix(g: MixedGraph) -> str:

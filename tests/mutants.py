@@ -200,6 +200,32 @@ MUTANTS = (
         (_I + "test_an_equal_graph_object_refines_from_scratch",
          _I + "test_cold_and_warm_searches_agree_on_benchmark_graphs"),
     ),
+    # the leaf's automorphism check keeps a permutation that moves arcs
+    Mutant(
+        "leaf-check-ignores-arcs", _ISO,
+        "    return all((phi[u], phi[v]) in arcs for u, v in arcs) and all(\n",
+        "    return all(\n",
+        (_I + "test_leaf_check_needs_edges_and_arcs",),
+    ),
+    # the target search of is_isomorphic(g, h) prunes with the
+    # automorphisms kept on h, which need not fix g
+    Mutant(
+        "seeds-from-h", _ISO,
+        "    found = _ir_search(g, until=target.__eq__,"
+        " seeds=_kept_automorphisms(g))\n",
+        "    found = _ir_search(g, until=target.__eq__,"
+        " seeds=_kept_automorphisms(h))\n",
+        (_I + "test_seeded_searches_agree_on_benchmark_graphs",
+         _I + "test_seeded_searches_agree_on_mixed_graphs"),
+    ),
+    # an element's order is its longest cycle, not the lcm of its cycles
+    Mutant(
+        "element-order-max-not-lcm", _GRAPHS,
+        "            order = lcm(order, length)\n",
+        "            order = max(order, length)\n",
+        (_GR + "test_element_order_matches_power_loop",
+         _I + "test_aut_g30"),
+    ),
     # every per-graph fact is stored per graph order
     Mutant(
         "per-graph-fact-keyed-by-order", _GRAPHS,

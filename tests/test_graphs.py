@@ -19,6 +19,7 @@ from mixedcages import (
     new_graph,
 )
 from mixedcages.constructions import rotation_automorphism
+from mixedcages.graphs import image_order
 
 from conftest import check_result_record, random_mixed_graph
 
@@ -186,6 +187,20 @@ def test_permutation_inverse_and_order():
     assert p.order() == 6  # lcm(3, 2)
     assert p.cycle_notation() == "(0 1 2)(3 4)"
     assert Permutation.identity(3).cycle_notation() == "()"
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_element_order_matches_power_loop(image):
+    """Permutation.order and the tuple-level image_order, which
+    group_fingerprint reads, against the least k with p^k = identity."""
+    image = tuple(image)
+    identity = tuple(range(len(image)))
+    power, k = image, 1
+    while power != identity:
+        power = tuple(image[x] for x in power)
+        k += 1
+    assert image_order(image) == k
+    assert Permutation(image).order() == k
 
 
 def test_degree_profile_is_an_immutable_tuple():

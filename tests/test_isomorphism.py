@@ -697,17 +697,122 @@ def test_an_equal_graph_object_refines_from_scratch():
     assert is_isomorphic(h, h) == is_isomorphic(g, g)
     for fact in facts:
         assert fact(h) == fact(g) and fact(h) is not fact(g)
+    # and no automorphism that automorphism_group found on g seeds h
+    automorphism_group(g)
+    assert isomorphism._kept_automorphisms(g)
+    assert isomorphism._kept_automorphisms(h) == ()
+    assert isomorphism._KEPT not in vars(h)
 
 
 def test_first_path_is_released_with_its_graph():
     g = build_g30()
     assert is_isomorphic(g, g)[0] and automorphism_group(g).order == 20
     assert {"_first_path", "degree_profile", "_degree_key",
-            "_first_leaf"} <= set(vars(g))
+            "_first_leaf", isomorphism._KEPT} <= set(vars(g))
     ref = weakref.ref(g)
     del g
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# the automorphisms automorphism_group keeps on its graph object
+
+
+def _cells_key(inputs):
+    """The distinct cell lists among inputs, as a set."""
+    return {tuple(map(tuple, cells)) for cells in inputs}
+
+
+def _warm(g, hs, group):
+    """Equal copies of g and hs whose first paths and first leaves are
+    kept; with ``group``, each has also had its automorphism group
+    searched, so it keeps its automorphisms (hs' too, which no search
+    of g may read)."""
+    g, hs = _fresh(g), [_fresh(h) for h in hs]
+    for x in [g, *hs]:
+        isomorphism._first_leaf(x)
+        if group:
+            automorphism_group(x)
+    return g, hs
+
+
+def _assert_seeded_search_agrees(g, *hs):
+    """is_isomorphic(g, h) for each h and canonical_form(g) answer the
+    same bytes after automorphism_group(g) as without it, and a second
+    automorphism_group(g) gives the same generators.  The search seeded
+    with g's automorphisms refines no cells that the unseeded search of
+    a warm copy does not.  Returns the numbers of refined cells, seeded
+    and unseeded."""
+    plain, plain_hs = _warm(g, hs, group=False)
+    seeded, seeded_hs = _warm(g, hs, group=True)
+    assert isomorphism._KEPT in vars(seeded)
+    assert isomorphism._KEPT not in vars(plain)
+
+    def run(g, hs):
+        out = []
+        inputs = _refine_inputs(lambda: out.extend(
+            [*(is_isomorphic(g, h) for h in hs), canonical_form(g)]))
+        return out, inputs
+
+    # verdicts, witnesses, the encoding and the labeling
+    want, unseeded = run(plain, plain_hs)
+    got, inputs = run(seeded, seeded_hs)
+    assert got == want
+    assert _cells_key(inputs) <= _cells_key(unseeded)
+    assert automorphism_group(seeded) == automorphism_group(plain)
+    return len(inputs), len(unseeded)
+
+
+def test_seeded_searches_agree_on_benchmark_graphs():
+    """The 33 benchmark graphs, each in its file labeling and 3 seeded
+    relabelings, against the file labeling and against its partner:
+    the same answers with and without the kept automorphisms, and
+    fewer refined cells in all."""
+    entries = json.loads(
+        (PERFBENCH / "expected" / "graphs.json").read_text())["graphs"]
+    graphs = {name: read_adjacency_matrix((PERFBENCH / e["file"]).read_text())
+              for name, e in entries.items()}
+    rng = random.Random(34)
+    seeded = unseeded = 0
+    for name, e in entries.items():
+        base = graphs[name]
+        partners = [graphs[e["partner"]]] if e["partner"] else []
+        for g in [_fresh(base)] + [_relabeled(base, rng) for _ in range(3)]:
+            s, u = _assert_seeded_search_agrees(g, base, *partners)
+            seeded += s
+            unseeded += u
+    assert seeded < unseeded
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_seeded_searches_agree_on_mixed_graphs(data):
+    g = data.draw(mixed_graphs(), label="g")
+    p = data.draw(st.permutations(range(g.n)), label="permutation")
+    h = apply_permutation(g, Permutation(tuple(p)))
+    other = data.draw(mixed_graphs(), label="other")
+    _assert_seeded_search_agrees(g, h, other)
+
+
+def test_leaf_check_needs_edges_and_arcs():
+    """The leaf's automorphism check rejects a permutation that keeps
+    the edges but not the arcs, and one that keeps the arcs but not the
+    edges; on small graphs it agrees with relabeling the whole graph."""
+    swap_2_3 = (0, 1, 3, 2)
+    keeps_edges = new_graph(4, [(0, 1)], [(0, 2)])
+    keeps_arcs = new_graph(4, [(0, 2)], [(0, 1)])
+    for g in (keeps_edges, keeps_arcs):
+        assert apply_permutation(g, Permutation(swap_2_3)) != g
+        assert not isomorphism._is_automorphism(g, swap_2_3)
+    assert isomorphism._is_automorphism(
+        new_graph(4, [(0, 1)], [(0, 2), (0, 3)]), swap_2_3)
+    rng = random.Random(35)
+    for _ in range(40):
+        g = random_mixed_graph(rng, n_min=1, n_max=5)
+        for phi in itertools.permutations(range(g.n)):
+            assert isomorphism._is_automorphism(g, phi) == (
+                apply_permutation(g, Permutation(phi)) == g)
 
 
 def test_isomorphism_records_are_immutable_tuples():

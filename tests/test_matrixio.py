@@ -51,6 +51,26 @@ def test_bad_token_rejected():
         read_adjacency_matrix("header line\n0 1\n1 0")
 
 
+def test_row_layouts_and_bad_token_positions():
+    """Compact, space- and tab-separated rows parse alike, and a bad
+    token is named, first, in the middle or last, as the first one of
+    its row."""
+    spaced = read_adjacency_matrix("0 1 0\n0 0 1\n1 0 0")
+    assert read_adjacency_matrix("010\n001\n100") == spaced
+    assert read_adjacency_matrix("0\t1\t0\n0 \t0\t 1\n1\t0\t0\n") == spaced
+    cases = {
+        "x 1 0\n0 0 1\n1 0 0": "bad token 'x' in row 1",
+        "0 1 0\n0 2 1\n1 0 0": "bad token '2' in row 2",
+        "0 1 0\n0 0 1\n1 0 01": "bad token '01' in row 3",
+        "010\n0a1\n10b": "bad token 'a' in row 2",
+        "010\n001\n1 0\t-": "bad token '-' in row 3",
+    }
+    for text, message in cases.items():
+        with pytest.raises(BadTokenError) as info:
+            read_adjacency_matrix(text)
+        assert str(info.value) == message
+
+
 def test_undecodable_bytes_rejected():
     # the same text as str has a bad token; as bytes it does not decode
     with pytest.raises(BadTokenError):
